@@ -3,14 +3,13 @@
 from .analysis import MetricPoint, SystemConfig
 from .fading import FadingParams
 from .numerics import AccuracySpec
-from .sim import EnergyBuffer, Placement, SimEstimate
+from .sim import EnergyBuffer, SimEstimate
 
 __all__ = [
     "AccuracySpec",
     "EnergyBuffer",
     "FadingParams",
     "MetricPoint",
-    "Placement",
     "SimEstimate",
     "SystemConfig",
 ]

@@ -12,6 +12,9 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy import special
+
 from . import fading, numerics
 from .fading import FadingParams
 from .numerics import AccuracySpec
@@ -44,6 +47,10 @@ class SystemConfig:
     fading_st_sr: FadingParams = field(default_factory=_default_link)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.p_beacon <= 0.0 or self.p_st <= 0.0:
             raise ValueError("transmit powers must be positive")
         if not 0.0 < self.eta <= 1.0:
@@ -140,20 +147,23 @@ def snr_outage_cdf(cfg: SystemConfig) -> float:
     return fading.cdf(cfg.fading_st_sr, x)
 
 
-def _stable_regularized_diff(s: float, a: float, b: float) -> float:
-    # P(s, b) - P(s, a) for a <= b, picking the tail that avoids cancellation.
-    pb = numerics.regularized_lower_gamma(s, b)
-    if pb <= 0.5:
-        return pb - numerics.regularized_lower_gamma(s, a)
-    qa = numerics.regularized_upper_gamma(s, a)
-    if qa <= 0.5:
-        return qa - numerics.regularized_upper_gamma(s, b)
-    return pb - numerics.regularized_lower_gamma(s, a)
+def _branches(cfg: SystemConfig, d_star: float):
+    """(threshold coefficient, lo, hi) of the inside and outside branches.
+
+    Inside the effective range the buffer refills from the non-transmit
+    fraction of the frame only; beyond it, from the whole frame. A branch
+    whose interval is empty (hi <= lo) contributes nothing.
+    """
+    need = cfg.tau * cfg.p_st_eff
+    harvest = cfg.eta * cfg.p_beacon
+    inside = (need / (harvest * (1.0 - cfg.tau)), cfg.d_min, min(d_star, cfg.d_max))
+    outside = (need / harvest, max(d_star, cfg.d_min), cfg.d_max)
+    return inside, outside
 
 
 def _phi_closed_form(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: float) -> float:
-    # Sum over survival-series terms of the gain law, each integrated in
-    # closed form against the annulus distance density on [lo, hi].
+    # Sum over survival-series terms r = 0..m-1 of the gain law, each
+    # integrated in closed form against the annulus distance density on [lo, hi].
     if hi <= lo:
         return 0.0
     p = cfg.fading_pb_st
@@ -161,33 +171,26 @@ def _phi_closed_form(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: f
     c = threshold_coeff / p.omega
     a = c * lo**alpha
     b = c * hi**alpha
-    two_over_alpha = 2.0 / alpha
+    r = np.arange(p.m, dtype=float)
+    s = r + 2.0 / alpha
+    # P(s, b) - P(s, a), taken from the upper tails where that avoids cancellation
+    pb = special.gammainc(s, b)
+    qa = special.gammaincc(s, a)
+    upper = (pb > 0.5) & (qa <= 0.5)
+    diff = np.where(upper, qa - special.gammaincc(s, b), pb - special.gammainc(s, a))
+    terms = p._tail_weights * np.exp(special.gammaln(s) - special.gammaln(r + 1.0)) * diff
     norm = cfg.d_max**2 - cfg.d_min**2
-    total = 0.0
-    for r, w in enumerate(p._tail_weights):
-        s = r + two_over_alpha
-        gamma_diff = math.exp(numerics.log_gamma(s) - numerics.log_gamma(r + 1.0))
-        gamma_diff *= _stable_regularized_diff(s, a, b)
-        total += 2.0 * w * c ** (-two_over_alpha) * gamma_diff / (alpha * norm)
-    return total
+    return float(2.0 * c ** (-2.0 / alpha) * terms.sum() / (alpha * norm))
 
 
 def phi1(cfg: SystemConfig) -> float:
     """Probability of transmitting from inside the effective range."""
-    d_star = effective_range(cfg)
-    if d_star < cfg.d_min:
-        return 0.0
-    coeff = cfg.tau * cfg.p_st_eff / (cfg.eta * cfg.p_beacon * (1.0 - cfg.tau))
-    return _phi_closed_form(cfg, coeff, cfg.d_min, min(d_star, cfg.d_max))
+    return _phi_closed_form(cfg, *_branches(cfg, effective_range(cfg))[0])
 
 
 def phi2(cfg: SystemConfig) -> float:
     """Probability of transmitting from beyond the effective range."""
-    d_star = effective_range(cfg)
-    if d_star > cfg.d_max:
-        return 0.0
-    coeff = cfg.tau * cfg.p_st_eff / (cfg.eta * cfg.p_beacon)
-    return _phi_closed_form(cfg, coeff, max(d_star, cfg.d_min), cfg.d_max)
+    return _phi_closed_form(cfg, *_branches(cfg, effective_range(cfg))[1])
 
 
 def _phi_quadrature(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: float,
@@ -206,20 +209,12 @@ def _phi_quadrature(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: fl
 
 def phi1_quadrature(cfg: SystemConfig, acc: AccuracySpec = AccuracySpec(1e-10, 200)) -> float:
     """Independent quadrature route for phi1 (oracle, not the fast path)."""
-    d_star = effective_range(cfg)
-    if d_star < cfg.d_min:
-        return 0.0
-    coeff = cfg.tau * cfg.p_st_eff / (cfg.eta * cfg.p_beacon * (1.0 - cfg.tau))
-    return _phi_quadrature(cfg, coeff, cfg.d_min, min(d_star, cfg.d_max), acc)
+    return _phi_quadrature(cfg, *_branches(cfg, effective_range(cfg))[0], acc)
 
 
 def phi2_quadrature(cfg: SystemConfig, acc: AccuracySpec = AccuracySpec(1e-10, 200)) -> float:
     """Independent quadrature route for phi2 (oracle, not the fast path)."""
-    d_star = effective_range(cfg)
-    if d_star > cfg.d_max:
-        return 0.0
-    coeff = cfg.tau * cfg.p_st_eff / (cfg.eta * cfg.p_beacon)
-    return _phi_quadrature(cfg, coeff, max(d_star, cfg.d_min), cfg.d_max, acc)
+    return _phi_quadrature(cfg, *_branches(cfg, effective_range(cfg))[1], acc)
 
 
 def j_correction(cfg: SystemConfig, l: int, d: float) -> float:
@@ -241,25 +236,25 @@ def j_correction(cfg: SystemConfig, l: int, d: float) -> float:
 
 def transmission_probability(cfg: SystemConfig) -> float:
     """Two-branch closed-form transmission probability, clamped to [0, 1]."""
-    return min(1.0, max(0.0, phi1(cfg) + phi2(cfg)))
+    return evaluate(cfg).p_tr
 
 
 def outage_probability(cfg: SystemConfig) -> float:
     """Outage: silent slot, or transmission below the SNR threshold."""
-    p_tr = transmission_probability(cfg)
-    return p_tr * snr_outage_cdf(cfg) + (1.0 - p_tr)
+    return evaluate(cfg).p_out
 
 
 def average_throughput(cfg: SystemConfig) -> float:
     """Effective throughput in bps/Hz; bounded above by tau * rate."""
-    return cfg.tau * cfg.rate * (1.0 - outage_probability(cfg))
+    return evaluate(cfg).throughput
 
 
 def evaluate(cfg: SystemConfig) -> MetricPoint:
     """All analytic metrics at the configured switching time."""
     d_star = effective_range(cfg)
-    v1 = phi1(cfg)
-    v2 = phi2(cfg)
+    inside, outside = _branches(cfg, d_star)
+    v1 = _phi_closed_form(cfg, *inside)
+    v2 = _phi_closed_form(cfg, *outside)
     p_tr = min(1.0, max(0.0, v1 + v2))
     f_snr = snr_outage_cdf(cfg)
     p_out = p_tr * f_snr + (1.0 - p_tr)

@@ -161,14 +161,18 @@ def build_config(values: dict) -> SystemConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def load_config(path: str) -> SystemConfig:
-    """Read a key=value file; missing keys take the built-in defaults."""
+def _read_config_values(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return build_config(parse_config_text(text))
+    return parse_config_text(text)
+
+
+def load_config(path: str) -> SystemConfig:
+    """Read a key=value file; missing keys take the built-in defaults."""
+    return build_config(_read_config_values(path))
 
 
 def config_echo(cfg: SystemConfig) -> dict:
@@ -220,15 +224,10 @@ def parse_tau_grid(spec: str) -> list:
 def cmd_analyze(cfg: SystemConfig, tau_grid) -> RunReport:
     """Analytic sweep; one CSV row per switching-time value."""
     started = time.perf_counter()
-    rows = []
-    for point in analysis.sweep(cfg, tau_grid):
-        row = dict(zip(ANALYTIC_COLUMNS, (
-            0.0, point.d_star, point.phi1, point.phi2,
-            point.p_tr, point.f_snr, point.p_out, point.throughput,
-        )))
-        rows.append(row)
-    for row, tau in zip(rows, tau_grid):
-        row["tau"] = float(tau)
+    rows = [
+        dict(zip(ANALYTIC_COLUMNS, (float(tau), *dataclasses.astuple(point))))
+        for tau, point in zip(tau_grid, analysis.sweep(cfg, tau_grid))
+    ]
     return RunReport(
         config=config_echo(cfg),
         rows=rows,
@@ -505,11 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SystemConfig:
-    values = (
-        parse_config_text(open(args.config, encoding="utf-8").read())
-        if args.config
-        else dict(CONFIG_DEFAULTS)
-    )
+    values = _read_config_values(args.config) if args.config else dict(CONFIG_DEFAULTS)
     if args.L is not None:
         values["L"] = args.L
     if args.ideal is not None:
@@ -543,8 +538,6 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             report = cmd_analyze(cfg, tau_grid)
         else:
-            if args.placements < 1 or args.slots < 1:
-                raise ConfigError("--placements and --slots must be >= 1")
             report = cmd_simulate(cfg, tau_grid, args.placements, args.slots, args.seed)
         _emit(report, args)
         return 0

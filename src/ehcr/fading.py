@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from .numerics import digamma_integer, log_gamma
 
@@ -111,7 +112,7 @@ def survival(p: FadingParams, x):
     flat = np.atleast_1d(arr)
     t = flat / p.omega
     r = np.arange(p.m, dtype=float)
-    log_fact = np.array([log_gamma(k + 1.0) for k in r])
+    log_fact = special.gammaln(r + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_terms = r[:, None] * np.log(t[None, :]) - log_fact[:, None] - t[None, :]
     # at t = 0 only the r = 0 term survives (it equals 1)

@@ -9,12 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+from scipy import integrate, special
 
 # Euler-Mascheroni constant, 20 significant digits.
 EULER_MASCHERONI = 0.57721566490153286061
-
-_MAX_ITERATIONS = 500
 
 
 class IntegrationError(RuntimeError):
@@ -42,73 +40,13 @@ def log_gamma(s: float) -> float:
     return math.lgamma(s)
 
 
-def _lower_regularized_series(s: float, x: float) -> float:
-    # Power series for P(s, x); converges fast for x < s + 1.
-    if x == 0.0:
-        return 0.0
-    ap = s
-    delta = 1.0 / s
-    total = delta
-    for _ in range(_MAX_ITERATIONS):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * 1e-17:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise IntegrationError(f"incomplete-gamma series did not converge (s={s}, x={x})")
-
-
-def _upper_regularized_contfrac(s: float, x: float) -> float:
-    # Lentz continued fraction for Q(s, x); converges fast for x > s + 1.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_ITERATIONS + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        factor = d * c
-        h *= factor
-        if abs(factor - 1.0) < 1e-17:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise IntegrationError(
-        f"incomplete-gamma continued fraction did not converge (s={s}, x={x})"
-    )
-
-
-def regularized_lower_gamma(s: float, x: float) -> float:
-    """P(s, x) = gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError(f"requires s > 0, got {s}")
-    if x < 0.0:
-        raise ValueError(f"requires x >= 0, got {x}")
-    if x < s + 1.0:
-        return _lower_regularized_series(s, x)
-    return 1.0 - _upper_regularized_contfrac(s, x)
-
-
-def regularized_upper_gamma(s: float, x: float) -> float:
-    """Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError(f"requires s > 0, got {s}")
-    if x < 0.0:
-        raise ValueError(f"requires x >= 0, got {x}")
-    if x < s + 1.0:
-        return 1.0 - _lower_regularized_series(s, x)
-    return _upper_regularized_contfrac(s, x)
-
-
 def upper_incomplete_gamma(s: float, x: float) -> float:
     """Unnormalized upper incomplete gamma Gamma(s, x), non-integer s allowed."""
-    return regularized_upper_gamma(s, x) * math.exp(math.lgamma(s))
+    if s <= 0.0:
+        raise ValueError(f"requires s > 0, got {s}")
+    if x < 0.0:
+        raise ValueError(f"requires x >= 0, got {x}")
+    return float(special.gammaincc(s, x)) * math.exp(math.lgamma(s))
 
 
 def digamma_integer(n: int) -> float:

@@ -49,14 +49,6 @@ class EnergyBuffer:
         return self.stored >= self.capacity
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One random drop of the secondary transmitter inside the annulus."""
-
-    d_pbst: float
-    inside_effective_range: bool
-
-
 class SlotOutcome(NamedTuple):
     transmitted: bool
     outage: bool
@@ -82,11 +74,6 @@ def sample_distance(cfg: SystemConfig, gen: np.random.Generator) -> float:
     """Inverse-CDF draw from the linear annulus density on [d_min, d_max]."""
     u = gen.random()
     return math.sqrt(cfg.d_min**2 + u * (cfg.d_max**2 - cfg.d_min**2))
-
-
-def make_placement(cfg: SystemConfig, gen: np.random.Generator) -> Placement:
-    d = sample_distance(cfg, gen)
-    return Placement(d_pbst=d, inside_effective_range=d <= analysis.effective_range(cfg))
 
 
 def fresh_buffer(cfg: SystemConfig) -> EnergyBuffer:

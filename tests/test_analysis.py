@@ -39,6 +39,10 @@ class TestSystemConfig:
             default_config(rho=0.5)
         with pytest.raises(ValueError):
             default_config(d_min=20.0)
+        for name in ("rate", "t_frame", "alpha_pb_st", "alpha_st_sr", "d_max", "d_st_sr", "rho"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    default_config(**{name: bad})
 
 
 class TestCapacityBounds:

@@ -199,6 +199,21 @@ class TestMain:
         path.write_text("m = 3\nL = 7\n")
         assert cli.main(["analyze", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["R", "T", "alpha", "alpha_s", "d_max", "d_stsr", "rho"])
+    def test_nonfinite_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert cli.main(["analyze", "--config", str(missing)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_simulate_csv_deterministic_end_to_end(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

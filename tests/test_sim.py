@@ -194,14 +194,3 @@ class TestRun:
         est = sim.run(default_config(), 50, 120, seed=21)
         for value in (est.p_tr_hat, est.p_out_hat):
             assert 0.0 <= value <= 1.0
-
-
-class TestPlacement:
-    def test_make_placement_flags_effective_range(self):
-        cfg = default_config()
-        gen = np.random.default_rng(12)
-        d_star = analysis.effective_range(cfg)
-        for _ in range(50):
-            placement = sim.make_placement(cfg, gen)
-            assert cfg.d_min <= placement.d_pbst <= cfg.d_max
-            assert placement.inside_effective_range == (placement.d_pbst <= d_star)
