@@ -250,8 +250,8 @@ def cmd_simulate(
         )
     report = cmd_analyze(cfg, tau_grid)
     started = time.perf_counter()
-    for row, tau in zip(report.rows, tau_grid):
-        estimate = sim.run(cfg.with_tau(float(tau)), n_placements, n_slots, seed)
+    estimates = sim.run_sweep(cfg, tau_grid, n_placements, n_slots, seed)
+    for row, estimate in zip(report.rows, estimates):
         row.update(zip(SIM_COLUMNS, (
             estimate.p_tr_hat,
             estimate.p_out_hat,

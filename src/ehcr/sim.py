@@ -6,6 +6,14 @@ reproduces the modeling assumptions behind the closed-form transmission
 probability (each slot judged on the previous slot's harvest alone, leftover
 pinned at the post-transmission level), which is useful for isolating the
 effect of multi-slot energy accumulation.
+
+``run_sweep`` estimates a whole tau grid from one draw of the gain streams:
+the streams depend only on the seed and the placement index, so every tau
+sees the same placements and fades, and each tau's estimate is exactly what
+``run`` gives for that tau alone. ``run`` is the one-tau case. Confidence
+half-widths are placement-level: slots of one placement share its distance
+and its buffer, so the per-placement fractions, not the slots, are the
+independent samples, and at least two placements are needed.
 """
 
 from __future__ import annotations
@@ -132,6 +140,139 @@ def warmup_slots(n_slots: int) -> int:
     return max(100, n_slots // 10)
 
 
+def _buffer_counts(
+    cfg, taus, distances, snr_scale, gains_p, gains_s, warmup, strict_harvest_cap
+):
+    """Per-(tau, placement) transmit and success counts of the energy buffer.
+
+    One slot loop carries every tau's buffer state, updated in place.
+    ``tx_gain`` = (1 - tau) * path_gain is the harvest scale of a transmit
+    slot. Every element sees the same operations in the same order whatever
+    the number of taus, so a tau's counts do not depend on its sweep.
+    """
+    t = cfg.t_frame
+    capacity = cfg.p_st_eff * t
+    consumption = taus[:, None] * capacity
+    path_gain = cfg.eta * t * cfg.p_beacon / distances**cfg.alpha_pb_st
+    tx_gain = (1.0 - taus)[:, None] * path_gain
+    shape = (len(taus), gains_p.shape[0])
+    stored = np.full(shape, capacity)
+    full = np.empty(shape, dtype=bool)
+    harvest = np.empty(shape)
+    tx = np.zeros(shape, dtype=np.int64)
+    ok = np.zeros(shape, dtype=np.int64)
+    gamma_th = cfg.gamma_th
+    for n in range(gains_p.shape[1]):
+        np.greater_equal(stored, capacity, out=full)
+        np.multiply(np.where(full, tx_gain, path_gain), gains_p[:, n], out=harvest)
+        if strict_harvest_cap:
+            np.minimum(harvest, consumption, out=harvest)
+        if n >= warmup:
+            tx += full
+            ok += full & (snr_scale * gains_s[:, n] > gamma_th)
+        np.subtract(stored, consumption, out=stored, where=full)
+        stored += harvest
+        np.minimum(stored, capacity, out=stored)
+    return tx, ok
+
+
+def _renewal_counts(cfg, taus, distances, snr_scale, gains_p, gains_s, warmup):
+    """Per-(tau, placement) counts of the memoryless slot-renewal model.
+
+    The previous slot's harvest alone (plus the fixed post-transmission
+    leftover) decides transmission; thresholds differ inside/outside the
+    effective range because the in-range branch harvests only the
+    non-transmit fraction of the frame. No state links the slots, so every
+    measured slot is judged at once.
+    """
+    d_star = np.array([analysis.effective_range(cfg.with_tau(t)) for t in taus.tolist()])[:, None]
+    inside = distances <= d_star
+    threshold = (
+        taus[:, None]
+        * cfg.p_st_eff
+        * distances**cfg.alpha_pb_st
+        / (cfg.eta * cfg.p_beacon * np.where(inside, 1.0 - taus[:, None], 1.0))
+    )
+    measured_p = gains_p[:, warmup:]
+    # row by row, so no float temporary as large as a gain array is made
+    snr_ok = np.empty(measured_p.shape, dtype=bool)
+    for i, row in enumerate(gains_s[:, warmup:]):
+        np.greater(snr_scale * row, cfg.gamma_th, out=snr_ok[i])
+    tx = np.empty(threshold.shape, dtype=np.int64)
+    ok = np.empty(threshold.shape, dtype=np.int64)
+    for k, row in enumerate(threshold):
+        full = measured_p >= row[:, None]
+        tx[k] = full.sum(axis=1)
+        ok[k] = (full & snr_ok).sum(axis=1)
+    return tx, ok
+
+
+def _ci99(fractions: np.ndarray) -> float:
+    """99% half-width of the mean of per-placement fractions.
+
+    Slots of one placement share its distance and buffer, so they are
+    correlated; placements are independent, so the placement is the sample.
+    """
+    return _Z99 * float(np.std(fractions, ddof=1)) / math.sqrt(len(fractions))
+
+
+def run_sweep(
+    cfg: SystemConfig,
+    taus,
+    n_placements: int,
+    n_slots: int,
+    seed: int,
+    strict_harvest_cap: bool = False,
+    mode: str = "buffer",
+) -> list:
+    """One `SimEstimate` per tau, all from one draw of the gain streams.
+
+    The streams depend only on the seed and the placement index, so every
+    tau sees the same placements and fades (common random numbers). Each
+    estimate equals ``run(cfg.with_tau(tau), ...)`` exactly.
+    """
+    if n_placements < 2 or n_slots < 1:
+        raise SimConfigurationError(
+            f"n_placements must be >= 2 and n_slots >= 1, got {n_placements}, {n_slots}"
+        )
+    if mode not in MODES:
+        raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    configs = [cfg.with_tau(float(t)) for t in taus]
+    if not configs:
+        raise SimConfigurationError("taus must not be empty")
+    taus = np.array([c.tau for c in configs])
+
+    warmup = warmup_slots(n_slots)
+    n_total = warmup + n_slots
+    distances, gains_p, gains_s = placement_streams(cfg, n_placements, n_total, seed)
+    snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
+
+    if mode == "buffer":
+        tx, ok = _buffer_counts(
+            cfg, taus, distances, snr_scale, gains_p, gains_s, warmup, strict_harvest_cap
+        )
+    else:
+        tx, ok = _renewal_counts(cfg, taus, distances, snr_scale, gains_p, gains_s, warmup)
+
+    total = n_placements * n_slots
+    estimates = []
+    for c, tx_k, ok_k in zip(configs, tx, ok):
+        outage_count = total - int(ok_k.sum())
+        ci99_p_out = _ci99((n_slots - ok_k) / n_slots)
+        estimates.append(SimEstimate(
+            p_tr_hat=int(tx_k.sum()) / total,
+            p_out_hat=outage_count / total,
+            throughput_hat=c.tau * c.rate * (total - outage_count) / total,
+            ci99_p_tr=_ci99(tx_k / n_slots),
+            ci99_p_out=ci99_p_out,
+            ci99_throughput=c.tau * c.rate * ci99_p_out,
+            n_slots=n_slots,
+            n_placements=n_placements,
+            seed=int(seed),
+        ))
+    return estimates
+
+
 def run(
     cfg: SystemConfig,
     n_placements: int,
@@ -140,75 +281,10 @@ def run(
     strict_harvest_cap: bool = False,
     mode: str = "buffer",
 ) -> SimEstimate:
-    """Aggregate transmission/outage statistics over placements and slots."""
-    if n_placements < 1 or n_slots < 1:
-        raise SimConfigurationError(
-            f"n_placements and n_slots must be >= 1, got {n_placements}, {n_slots}"
-        )
-    if mode not in MODES:
-        raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    """Aggregate transmission/outage statistics over placements and slots.
 
-    warmup = warmup_slots(n_slots)
-    n_total = warmup + n_slots
-    distances, gains_p, gains_s = placement_streams(cfg, n_placements, n_total, seed)
-
-    t = cfg.t_frame
-    capacity = cfg.p_st_eff * t
-    consumption = cfg.tau * capacity
-    path_gain = cfg.eta * t * cfg.p_beacon / distances**cfg.alpha_pb_st
-    snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
-
-    tx_count = 0
-    outage_count = 0
-    if mode == "buffer":
-        stored = np.full(n_placements, capacity)
-        for n in range(n_total):
-            full = stored >= capacity
-            harvest = np.where(full, (1.0 - cfg.tau), 1.0) * path_gain * gains_p[:, n]
-            if strict_harvest_cap:
-                harvest = np.minimum(harvest, consumption)
-            if n >= warmup:
-                snr_ok = snr_scale * gains_s[:, n] > cfg.gamma_th
-                tx_count += int(full.sum())
-                outage_count += n_placements - int((full & snr_ok).sum())
-            stored = np.where(full, stored - consumption, stored)
-            stored = np.minimum(capacity, stored + harvest)
-    else:
-        # Memoryless reconstruction of the closed-form model: the previous
-        # slot's harvest alone (plus the fixed post-transmission leftover)
-        # decides transmission; thresholds differ inside/outside the
-        # effective range because the in-range branch harvests only the
-        # non-transmit fraction of the frame.
-        d_star = analysis.effective_range(cfg)
-        inside = distances <= d_star
-        threshold = (
-            cfg.tau
-            * cfg.p_st_eff
-            * distances**cfg.alpha_pb_st
-            / (cfg.eta * cfg.p_beacon * np.where(inside, 1.0 - cfg.tau, 1.0))
-        )
-        for n in range(warmup, n_total):
-            full = gains_p[:, n] >= threshold
-            snr_ok = snr_scale * gains_s[:, n] > cfg.gamma_th
-            tx_count += int(full.sum())
-            outage_count += n_placements - int((full & snr_ok).sum())
-
-    total = n_placements * n_slots
-    p_tr = tx_count / total
-    p_out = outage_count / total
-    throughput = cfg.tau * cfg.rate * (total - outage_count) / total
-
-    def halfwidth(p: float) -> float:
-        return _Z99 * math.sqrt(p * (1.0 - p) / total)
-
-    return SimEstimate(
-        p_tr_hat=p_tr,
-        p_out_hat=p_out,
-        throughput_hat=throughput,
-        ci99_p_tr=halfwidth(p_tr),
-        ci99_p_out=halfwidth(p_out),
-        ci99_throughput=cfg.tau * cfg.rate * halfwidth(p_out),
-        n_slots=n_slots,
-        n_placements=n_placements,
-        seed=int(seed),
-    )
+    The one-tau case of `run_sweep`.
+    """
+    return run_sweep(
+        cfg, [cfg.tau], n_placements, n_slots, seed, strict_harvest_cap, mode
+    )[0]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ehcr import analysis, cli
+from ehcr import analysis, cli, sim
 from ehcr.cli import (
     ConfigError,
     build_config,
@@ -130,6 +130,16 @@ class TestSimulate:
             "p_tr_mc,p_out_mc,thr_mc,ci99_ptr,ci99_pout"
         )
 
+    def test_mc_columns_equal_per_tau_runs(self):
+        cfg = analysis.SystemConfig()
+        grid = [0.2, 0.5, 0.8]
+        report = cmd_simulate(cfg, grid, 30, 80, seed=5)
+        for tau, row in zip(grid, report.rows):
+            est = sim.run(cfg.with_tau(tau), 30, 80, seed=5)
+            assert [row[c] for c in cli.SIM_COLUMNS] == [
+                est.p_tr_hat, est.p_out_hat, est.throughput_hat, est.ci99_p_tr, est.ci99_p_out
+            ]
+
     def test_rejects_zero_budget(self):
         with pytest.raises(ConfigError):
             cmd_simulate(analysis.SystemConfig(), [0.5], 10, 0, seed=1)
@@ -193,6 +203,11 @@ class TestMain:
 
     def test_zero_slots_is_usage_error(self):
         assert cli.main(["simulate", "--slots", "0"]) == 2
+
+    def test_single_placement_is_usage_error(self, capsys):
+        argv = ["simulate", "--tau-grid", "0.5:0.5:0.1", "--placements", "1", "--slots", "10"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_config_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.cfg"

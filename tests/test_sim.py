@@ -144,19 +144,28 @@ class TestRun:
         warmup = sim.warmup_slots(n_slots)
         n_total = warmup + n_slots
         distances, gains_p, gains_s = sim.placement_streams(cfg, n_placements, n_total, seed)
-        tx = outage = 0
+        tx = np.zeros(n_placements, dtype=int)
+        outage = np.zeros(n_placements, dtype=int)
         for i in range(n_placements):
             buffer = sim.fresh_buffer(cfg)
             for n in range(n_total):
                 out = sim.step_slot(buffer, cfg, distances[i], gains_p[i, n], gains_s[i, n])
                 if n >= warmup:
-                    tx += out.transmitted
-                    outage += out.outage
+                    tx[i] += out.transmitted
+                    outage[i] += out.outage
                 buffer = out.buffer
         est = sim.run(cfg, n_placements, n_slots, seed)
         total = n_placements * n_slots
-        assert est.p_tr_hat == tx / total
-        assert est.p_out_hat == outage / total
+        assert est.p_tr_hat == tx.sum() / total
+        assert est.p_out_hat == outage.sum() / total
+
+        # placement-level half-widths: the per-placement fractions are the samples
+        def ci99(counts):
+            return sim._Z99 * np.std(counts / n_slots, ddof=1) / math.sqrt(n_placements)
+
+        assert est.ci99_p_tr == ci99(tx)
+        assert est.ci99_p_out == ci99(outage)
+        assert est.ci99_throughput == cfg.tau * cfg.rate * ci99(outage)
 
     def test_throughput_identity(self):
         cfg = default_config()
@@ -194,3 +203,30 @@ class TestRun:
         est = sim.run(default_config(), 50, 120, seed=21)
         for value in (est.p_tr_hat, est.p_out_hat):
             assert 0.0 <= value <= 1.0
+
+
+class TestRunSweep:
+    TAUS = [0.1 * i for i in range(1, 10)]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("mode", sim.MODES)
+    def test_equals_per_tau_runs(self, mode, strict):
+        cfg = default_config(ideal=False)
+        sweep = sim.run_sweep(cfg, self.TAUS, 30, 120, seed=8,
+                              strict_harvest_cap=strict, mode=mode)
+        assert len(sweep) == len(self.TAUS)
+        for tau, est in zip(self.TAUS, sweep):
+            single = sim.run(cfg.with_tau(tau), 30, 120, seed=8,
+                             strict_harvest_cap=strict, mode=mode)
+            assert est == single  # every field, exactly
+
+    def test_run_is_the_one_tau_sweep(self):
+        cfg = default_config(tau=0.3)
+        assert sim.run(cfg, 20, 90, seed=4) == sim.run_sweep(cfg, [cfg.tau], 20, 90, seed=4)[0]
+
+    def test_rejects_single_placement(self):
+        cfg = default_config()
+        with pytest.raises(SimConfigurationError):
+            sim.run_sweep(cfg, self.TAUS, 1, 100, seed=1)
+        with pytest.raises(SimConfigurationError):
+            sim.run_sweep(cfg, [], 10, 100, seed=1)
