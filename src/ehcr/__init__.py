@@ -3,11 +3,10 @@
 from .analysis import MetricPoint, SystemConfig
 from .fading import FadingParams
 from .numerics import AccuracySpec
-from .sim import EnergyBuffer, SimEstimate
+from .sim import SimEstimate
 
 __all__ = [
     "AccuracySpec",
-    "EnergyBuffer",
     "FadingParams",
     "MetricPoint",
     "SimEstimate",

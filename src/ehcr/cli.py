@@ -244,10 +244,6 @@ def cmd_simulate(
     seed: int,
 ) -> RunReport:
     """Analytic sweep plus Monte Carlo columns, deterministic in the seed."""
-    if n_placements < 1 or n_slots < 1:
-        raise ConfigError(
-            f"placements and slots must be >= 1, got {n_placements}, {n_slots}"
-        )
     report = cmd_analyze(cfg, tau_grid)
     started = time.perf_counter()
     estimates = sim.run_sweep(cfg, tau_grid, n_placements, n_slots, seed)
@@ -378,27 +374,31 @@ def _suite_j_magnitude(cfg, _fault):
 def _suite_sim_conservation(cfg, _fault):
     problems = []
     gen = np.random.default_rng(99)
-    buffer = sim.fresh_buffer(cfg)
+    capacity = cfg.p_st_eff * cfg.t_frame
+    consumption = cfg.tau * capacity
     d = sim.sample_distance(cfg, gen)
-    consumption = cfg.tau * cfg.p_st_eff * cfg.t_frame
+    path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
+    snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
+    stored = np.array([capacity])
     for _ in range(500):
         gp = fading.sample(cfg.fading_pb_st, gen)
         gs = fading.sample(cfg.fading_st_sr, gen)
-        was_full = buffer.full
+        was_full = stored[0] >= capacity
         harvest_scale = (1.0 - cfg.tau) if was_full else 1.0
-        harvest = cfg.eta * harvest_scale * cfg.t_frame * cfg.p_beacon * gp / d**cfg.alpha_pb_st
-        outcome = sim.step_slot(buffer, cfg, d, gp, gs)
         expected = min(
-            buffer.capacity,
-            buffer.stored - (consumption if was_full else 0.0) + harvest,
+            capacity,
+            stored[0] - (consumption if was_full else 0.0) + harvest_scale * path_gain * gp,
         )
-        if outcome.buffer.stored != expected:
+        sim._step_slot(
+            stored, capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain,
+            gp, snr_scale * gs > cfg.gamma_th,
+        )
+        if stored[0] != expected:
             problems.append("per-slot energy bookkeeping mismatch")
             break
-        if not 0.0 <= outcome.buffer.stored <= outcome.buffer.capacity:
+        if not 0.0 <= stored[0] <= capacity:
             problems.append("buffer bounds violated")
             break
-        buffer = outcome.buffer
     a = sim.run(cfg, 50, 200, seed=5)
     b = sim.run(cfg, 50, 200, seed=5)
     if a != b:

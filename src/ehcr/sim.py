@@ -1,11 +1,17 @@
 """Time-slotted Monte Carlo simulator of the one-shot energy-buffer policy.
 
 The default ``buffer`` mode tracks the stored energy across slots and is the
-ground truth the closed forms are measured against. The ``slot-renewal`` mode
-reproduces the modeling assumptions behind the closed-form transmission
-probability (each slot judged on the previous slot's harvest alone, leftover
-pinned at the post-transmission level), which is useful for isolating the
-effect of multi-slot energy accumulation.
+ground truth the closed forms are measured against. Its rule is the one
+in-place update ``_step_slot``: a full buffer transmits, spends ``tau·C`` and
+harvests for the rest of the frame; any other buffer harvests for the whole
+frame; the level is capped at the capacity ``C``. The update works on arrays,
+so one call advances every (tau, placement) buffer of a sweep, and the
+validate suite drives the same update on a one-element buffer.
+
+The ``slot-renewal`` mode reproduces the modeling assumptions behind the
+closed-form transmission probability (each slot judged on the previous
+slot's harvest alone, leftover pinned at the post-transmission level), which
+is useful for isolating the effect of multi-slot energy accumulation.
 
 ``run_sweep`` estimates a whole tau grid from one draw of the gain streams:
 the streams depend only on the seed and the placement index, so every tau
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,32 +40,6 @@ MODES = ("buffer", "slot-renewal")
 
 class SimConfigurationError(ValueError):
     """Invalid Monte Carlo budget or mode."""
-
-
-@dataclass(frozen=True)
-class EnergyBuffer:
-    """Stored energy with a hard capacity, both in joules."""
-
-    stored: float
-    capacity: float
-
-    def __post_init__(self):
-        if self.capacity <= 0.0:
-            raise ValueError("capacity must be positive")
-        if not 0.0 <= self.stored <= self.capacity * (1.0 + 1e-12):
-            raise ValueError(
-                f"stored energy {self.stored} outside [0, {self.capacity}]"
-            )
-
-    @property
-    def full(self) -> bool:
-        return self.stored >= self.capacity
-
-
-class SlotOutcome(NamedTuple):
-    transmitted: bool
-    outage: bool
-    buffer: EnergyBuffer
 
 
 @dataclass(frozen=True)
@@ -82,40 +61,6 @@ def sample_distance(cfg: SystemConfig, gen: np.random.Generator) -> float:
     """Inverse-CDF draw from the linear annulus density on [d_min, d_max]."""
     u = gen.random()
     return math.sqrt(cfg.d_min**2 + u * (cfg.d_max**2 - cfg.d_min**2))
-
-
-def fresh_buffer(cfg: SystemConfig) -> EnergyBuffer:
-    """Full buffer at the steady-state capacity implied by the config."""
-    capacity = cfg.p_st_eff * cfg.t_frame
-    return EnergyBuffer(stored=capacity, capacity=capacity)
-
-
-def step_slot(
-    buffer: EnergyBuffer,
-    cfg: SystemConfig,
-    d: float,
-    gain_p: float,
-    gain_s: float,
-    strict_harvest_cap: bool = False,
-) -> SlotOutcome:
-    """Advance one frame: transmit if full, then harvest for the rest."""
-    t = cfg.t_frame
-    consumption = cfg.tau * cfg.p_st_eff * t
-    if buffer.full:
-        transmitted = True
-        snr = cfg.p_st * gain_s / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
-        outage = snr <= cfg.gamma_th
-        stored = buffer.stored - consumption
-        harvest = cfg.eta * (1.0 - cfg.tau) * t * cfg.p_beacon * gain_p / d**cfg.alpha_pb_st
-    else:
-        transmitted = False
-        outage = True
-        stored = buffer.stored
-        harvest = cfg.eta * t * cfg.p_beacon * gain_p / d**cfg.alpha_pb_st
-    if strict_harvest_cap:
-        harvest = min(harvest, consumption)
-    stored = min(buffer.capacity, stored + harvest)
-    return SlotOutcome(transmitted, outage, EnergyBuffer(stored, buffer.capacity))
 
 
 def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: int):
@@ -140,43 +85,51 @@ def warmup_slots(n_slots: int) -> int:
     return max(100, n_slots // 10)
 
 
-def _buffer_counts(
-    cfg, taus, distances, snr_scale, gains_p, gains_s, warmup, strict_harvest_cap
-):
+def _step_slot(stored, capacity, consumption, path_gain, tx_gain, gain_p, snr_ok):
+    """Advance energy buffers one frame in place; return (transmitted, succeeded).
+
+    A full buffer transmits, spends ``consumption`` and harvests
+    ``tx_gain * gain_p`` for the rest of the frame; any other buffer harvests
+    ``path_gain * gain_p`` for the whole frame. ``stored`` is capped at
+    ``capacity``. A transmission succeeds where ``snr_ok``. The arguments
+    broadcast against ``stored`` (one element or ``(n_tau, n_placements)``),
+    and every element sees the same operations in the same order whatever the
+    shape, so a buffer's trajectory does not depend on what it is batched with.
+    """
+    full = stored >= capacity
+    harvest = np.where(full, tx_gain, path_gain)
+    harvest *= gain_p
+    np.subtract(stored, consumption, out=stored, where=full)
+    stored += harvest
+    np.minimum(stored, capacity, out=stored)
+    return full, full & snr_ok
+
+
+def _buffer_counts(cfg, taus, distances, gains_p, snr_ok, warmup):
     """Per-(tau, placement) transmit and success counts of the energy buffer.
 
-    One slot loop carries every tau's buffer state, updated in place.
-    ``tx_gain`` = (1 - tau) * path_gain is the harvest scale of a transmit
-    slot. Every element sees the same operations in the same order whatever
-    the number of taus, so a tau's counts do not depend on its sweep.
+    One `_step_slot` per slot carries every tau's buffer state.
+    ``tx_gain`` = (1 - tau) * path_gain is the harvest scale of a transmit slot.
     """
     t = cfg.t_frame
     capacity = cfg.p_st_eff * t
     consumption = taus[:, None] * capacity
     path_gain = cfg.eta * t * cfg.p_beacon / distances**cfg.alpha_pb_st
     tx_gain = (1.0 - taus)[:, None] * path_gain
-    shape = (len(taus), gains_p.shape[0])
-    stored = np.full(shape, capacity)
-    full = np.empty(shape, dtype=bool)
-    harvest = np.empty(shape)
-    tx = np.zeros(shape, dtype=np.int64)
-    ok = np.zeros(shape, dtype=np.int64)
-    gamma_th = cfg.gamma_th
+    stored = np.full((len(taus), len(distances)), capacity)
+    tx = np.zeros(stored.shape, dtype=np.int64)
+    ok = np.zeros(stored.shape, dtype=np.int64)
     for n in range(gains_p.shape[1]):
-        np.greater_equal(stored, capacity, out=full)
-        np.multiply(np.where(full, tx_gain, path_gain), gains_p[:, n], out=harvest)
-        if strict_harvest_cap:
-            np.minimum(harvest, consumption, out=harvest)
+        full, succeeded = _step_slot(
+            stored, capacity, consumption, path_gain, tx_gain, gains_p[:, n], snr_ok[:, n]
+        )
         if n >= warmup:
             tx += full
-            ok += full & (snr_scale * gains_s[:, n] > gamma_th)
-        np.subtract(stored, consumption, out=stored, where=full)
-        stored += harvest
-        np.minimum(stored, capacity, out=stored)
+            ok += succeeded
     return tx, ok
 
 
-def _renewal_counts(cfg, taus, distances, snr_scale, gains_p, gains_s, warmup):
+def _renewal_counts(cfg, taus, distances, gains_p, snr_ok, warmup):
     """Per-(tau, placement) counts of the memoryless slot-renewal model.
 
     The previous slot's harvest alone (plus the fixed post-transmission
@@ -194,16 +147,13 @@ def _renewal_counts(cfg, taus, distances, snr_scale, gains_p, gains_s, warmup):
         / (cfg.eta * cfg.p_beacon * np.where(inside, 1.0 - taus[:, None], 1.0))
     )
     measured_p = gains_p[:, warmup:]
-    # row by row, so no float temporary as large as a gain array is made
-    snr_ok = np.empty(measured_p.shape, dtype=bool)
-    for i, row in enumerate(gains_s[:, warmup:]):
-        np.greater(snr_scale * row, cfg.gamma_th, out=snr_ok[i])
+    measured_ok = snr_ok[:, warmup:]
     tx = np.empty(threshold.shape, dtype=np.int64)
     ok = np.empty(threshold.shape, dtype=np.int64)
     for k, row in enumerate(threshold):
         full = measured_p >= row[:, None]
         tx[k] = full.sum(axis=1)
-        ok[k] = (full & snr_ok).sum(axis=1)
+        ok[k] = (full & measured_ok).sum(axis=1)
     return tx, ok
 
 
@@ -222,7 +172,6 @@ def run_sweep(
     n_placements: int,
     n_slots: int,
     seed: int,
-    strict_harvest_cap: bool = False,
     mode: str = "buffer",
 ) -> list:
     """One `SimEstimate` per tau, all from one draw of the gain streams.
@@ -246,13 +195,14 @@ def run_sweep(
     n_total = warmup + n_slots
     distances, gains_p, gains_s = placement_streams(cfg, n_placements, n_total, seed)
     snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
+    # whether each slot's link would carry the rate; row by row, so no float
+    # temporary as large as a gain array is made
+    snr_ok = np.empty(gains_s.shape, dtype=bool)
+    for i, row in enumerate(gains_s):
+        np.greater(snr_scale * row, cfg.gamma_th, out=snr_ok[i])
 
-    if mode == "buffer":
-        tx, ok = _buffer_counts(
-            cfg, taus, distances, snr_scale, gains_p, gains_s, warmup, strict_harvest_cap
-        )
-    else:
-        tx, ok = _renewal_counts(cfg, taus, distances, snr_scale, gains_p, gains_s, warmup)
+    counts = _buffer_counts if mode == "buffer" else _renewal_counts
+    tx, ok = counts(cfg, taus, distances, gains_p, snr_ok, warmup)
 
     total = n_placements * n_slots
     estimates = []
@@ -278,13 +228,10 @@ def run(
     n_placements: int,
     n_slots: int,
     seed: int,
-    strict_harvest_cap: bool = False,
     mode: str = "buffer",
 ) -> SimEstimate:
     """Aggregate transmission/outage statistics over placements and slots.
 
     The one-tau case of `run_sweep`.
     """
-    return run_sweep(
-        cfg, [cfg.tau], n_placements, n_slots, seed, strict_harvest_cap, mode
-    )[0]
+    return run_sweep(cfg, [cfg.tau], n_placements, n_slots, seed, mode)[0]

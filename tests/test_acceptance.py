@@ -125,10 +125,9 @@ def test_criterion_4_analysis_simulation_agreement():
     started = time.perf_counter()
     failures = []
     for antennas, ideal, base in four_setups():
-        for tau in TAU_GRID:
-            cfg = base.with_tau(tau)
-            p_out = analysis.outage_probability(cfg)
-            est = sim.run(cfg, 2000, 2000, seed=20260824)
+        estimates = sim.run_sweep(base, TAU_GRID, 2000, 2000, seed=20260824)
+        for tau, est in zip(TAU_GRID, estimates):
+            p_out = analysis.outage_probability(base.with_tau(tau))
             gap = abs(est.p_out_hat - p_out)
             tol = max(2.0 * est.ci99_p_out, 0.02)
             if gap > tol:

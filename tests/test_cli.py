@@ -141,7 +141,7 @@ class TestSimulate:
             ]
 
     def test_rejects_zero_budget(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(sim.SimConfigurationError):
             cmd_simulate(analysis.SystemConfig(), [0.5], 10, 0, seed=1)
 
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ehcr import analysis, sim
 from ehcr.analysis import SystemConfig
-from ehcr.sim import EnergyBuffer, SimConfigurationError
+from ehcr.sim import SimConfigurationError
 
 
 def default_config(**overrides) -> SystemConfig:
@@ -51,65 +53,69 @@ class TestSampleDistance:
             assert cfg.d_min <= d <= cfg.d_max
 
 
+def buffer_terms(cfg, d):
+    """Capacity, consumption and both harvest scales of a placement at distance d."""
+    capacity = cfg.p_st_eff * cfg.t_frame
+    path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
+    return capacity, cfg.tau * capacity, path_gain, (1.0 - cfg.tau) * path_gain
+
+
+def snr_ok(cfg, gain_s):
+    return cfg.p_st * gain_s / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power) > cfg.gamma_th
+
+
+def step(cfg, stored, d, gain_p, gain_s):
+    """One slot on a one-element buffer: (transmitted, outage, stored after)."""
+    capacity, consumption, path_gain, tx_gain = buffer_terms(cfg, d)
+    buffer = np.array([stored])
+    transmitted, succeeded = sim._step_slot(
+        buffer, capacity, consumption, path_gain, tx_gain, gain_p, snr_ok(cfg, gain_s)
+    )
+    return bool(transmitted[0]), not succeeded[0], float(buffer[0])
+
+
 class TestStepSlot:
     def test_full_buffer_transmits_without_outage_on_strong_link(self):
         cfg = default_config()
-        buffer = sim.fresh_buffer(cfg)
-        out = sim.step_slot(buffer, cfg, d=5.0, gain_p=1.0, gain_s=1e9)
-        assert out.transmitted and not out.outage
+        capacity = cfg.p_st_eff * cfg.t_frame
+        transmitted, outage, stored = step(cfg, capacity, d=5.0, gain_p=1.0, gain_s=1e9)
+        assert transmitted and not outage
         harvest = cfg.eta * (1 - cfg.tau) * cfg.p_beacon * 1.0 / 5.0**cfg.alpha_pb_st
-        expected = buffer.capacity - cfg.tau * cfg.p_st_eff + harvest
-        assert out.buffer.stored == pytest.approx(min(buffer.capacity, expected), rel=1e-15)
+        expected = capacity - cfg.tau * cfg.p_st_eff + harvest
+        assert stored == pytest.approx(min(capacity, expected), rel=1e-15)
 
     def test_empty_buffer_stays_empty_without_harvest(self):
         cfg = default_config()
-        out = sim.step_slot(EnergyBuffer(0.0, cfg.p_st_eff), cfg, 5.0, 0.0, 1e9)
-        assert not out.transmitted and out.outage
-        assert out.buffer.stored == 0.0
+        transmitted, outage, stored = step(cfg, 0.0, 5.0, 0.0, 1e9)
+        assert not transmitted and outage
+        assert stored == 0.0
 
     def test_capacity_cap_binds(self):
         cfg = default_config()
-        buffer = sim.fresh_buffer(cfg)
-        out = sim.step_slot(buffer, cfg, 1.0, gain_p=1e9, gain_s=1e9)
-        assert out.buffer.stored == buffer.capacity
+        capacity = cfg.p_st_eff * cfg.t_frame
+        _, _, stored = step(cfg, capacity, 1.0, gain_p=1e9, gain_s=1e9)
+        assert stored == capacity
 
     def test_energy_conservation_per_slot(self):
         cfg = default_config()
         gen = np.random.default_rng(3)
-        buffer = sim.fresh_buffer(cfg)
-        consumption = cfg.tau * cfg.p_st_eff * cfg.t_frame
+        capacity, consumption, path_gain, tx_gain = buffer_terms(cfg, 6.0)
+        stored = np.array([capacity])
         for _ in range(300):
             gp, gs = gen.gamma(2.0, 0.2), gen.gamma(2.0, 0.2)
-            was_full = buffer.full
-            out = sim.step_slot(buffer, cfg, 6.0, gp, gs)
+            was_full = stored[0] >= capacity
             scale = (1 - cfg.tau) if was_full else 1.0
-            harvest = cfg.eta * scale * cfg.t_frame * cfg.p_beacon * gp / 6.0**cfg.alpha_pb_st
             expected = min(
-                buffer.capacity, buffer.stored - (consumption if was_full else 0.0) + harvest
+                capacity, stored[0] - (consumption if was_full else 0.0) + scale * path_gain * gp
             )
-            assert out.buffer.stored == expected
-            assert 0.0 <= out.buffer.stored <= out.buffer.capacity
-            buffer = out.buffer
-
-    def test_strict_harvest_cap(self):
-        cfg = default_config()
-        out = sim.step_slot(
-            EnergyBuffer(0.0, cfg.p_st_eff), cfg, 1.0, 1e9, 1.0, strict_harvest_cap=True
-        )
-        assert out.buffer.stored == pytest.approx(cfg.tau * cfg.p_st_eff)
+            sim._step_slot(stored, capacity, consumption, path_gain, tx_gain, gp, snr_ok(cfg, gs))
+            assert stored[0] == expected
+            assert 0.0 <= stored[0] <= capacity
 
     def test_non_transmission_counts_as_outage(self):
         cfg = default_config()
-        out = sim.step_slot(EnergyBuffer(0.0, cfg.p_st_eff), cfg, 5.0, 1.0, 1e9)
-        assert out.outage
-
-
-class TestEnergyBuffer:
-    def test_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            EnergyBuffer(2.0, 1.0)
-        with pytest.raises(ValueError):
-            EnergyBuffer(-0.1, 1.0)
+        _, outage, _ = step(cfg, 0.0, 5.0, 1.0, 1e9)
+        assert outage
 
 
 class TestRun:
@@ -138,22 +144,25 @@ class TestRun:
             sim.run(cfg, 10, 10, seed=1, mode="bogus")
 
     def test_matches_scalar_reference_loop(self):
-        # replay the exact per-placement streams through step_slot
+        # replay the exact per-placement streams one placement at a time
         cfg = default_config()
         n_placements, n_slots, seed = 25, 60, 77
         warmup = sim.warmup_slots(n_slots)
         n_total = warmup + n_slots
         distances, gains_p, gains_s = sim.placement_streams(cfg, n_placements, n_total, seed)
+        capacity, consumption, path_gain, tx_gain = buffer_terms(cfg, distances)
         tx = np.zeros(n_placements, dtype=int)
         outage = np.zeros(n_placements, dtype=int)
         for i in range(n_placements):
-            buffer = sim.fresh_buffer(cfg)
+            stored = np.array([capacity])
             for n in range(n_total):
-                out = sim.step_slot(buffer, cfg, distances[i], gains_p[i, n], gains_s[i, n])
+                transmitted, succeeded = sim._step_slot(
+                    stored, capacity, consumption, path_gain[i], tx_gain[i],
+                    gains_p[i, n], snr_ok(cfg, gains_s[i, n]),
+                )
                 if n >= warmup:
-                    tx[i] += out.transmitted
-                    outage[i] += out.outage
-                buffer = out.buffer
+                    tx[i] += transmitted[0]
+                    outage[i] += not succeeded[0]
         est = sim.run(cfg, n_placements, n_slots, seed)
         total = n_placements * n_slots
         assert est.p_tr_hat == tx.sum() / total
@@ -204,20 +213,34 @@ class TestRun:
         for value in (est.p_tr_hat, est.p_out_hat):
             assert 0.0 <= value <= 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.floats(0.05, 0.95),
+        mode=st.sampled_from(sim.MODES),
+    )
+    def test_silent_slots_are_outages(self, seed, tau, mode):
+        # only a transmitting slot can succeed, so every silent slot is an
+        # outage and throughput is at most tau * R per transmission; the
+        # estimates are rounded quotients, hence the ulp-sized slack
+        cfg = default_config(tau=tau)
+        est = sim.run(cfg, 3, 40, seed=seed, mode=mode)
+        slack = 1e-12
+        assert est.p_out_hat >= 1.0 - est.p_tr_hat - slack
+        assert est.throughput_hat <= tau * cfg.rate * est.p_tr_hat + slack
+        assert min(est.ci99_p_tr, est.ci99_p_out, est.ci99_throughput) >= 0.0
+
 
 class TestRunSweep:
     TAUS = [0.1 * i for i in range(1, 10)]
 
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("mode", sim.MODES)
-    def test_equals_per_tau_runs(self, mode, strict):
+    def test_equals_per_tau_runs(self, mode):
         cfg = default_config(ideal=False)
-        sweep = sim.run_sweep(cfg, self.TAUS, 30, 120, seed=8,
-                              strict_harvest_cap=strict, mode=mode)
+        sweep = sim.run_sweep(cfg, self.TAUS, 30, 120, seed=8, mode=mode)
         assert len(sweep) == len(self.TAUS)
         for tau, est in zip(self.TAUS, sweep):
-            single = sim.run(cfg.with_tau(tau), 30, 120, seed=8,
-                             strict_harvest_cap=strict, mode=mode)
+            single = sim.run(cfg.with_tau(tau), 30, 120, seed=8, mode=mode)
             assert est == single  # every field, exactly
 
     def test_run_is_the_one_tau_sweep(self):
