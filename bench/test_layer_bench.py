@@ -1,0 +1,38 @@
+"""Layer benchmarks of the fading law and the closed forms, run with pytest-benchmark.
+
+Sizes:
+
+- ``fading.sample``: 1e6 draws of the default harvest link (20 components);
+- ``fading.survival``: 1e5 points on [0, 10];
+- ``analysis.evaluate``: one point at the default configuration;
+- ``analysis.sweep``: 19 taus, 0.05 to 0.95.
+"""
+
+import numpy as np
+
+from ehcr import analysis, fading
+from ehcr.analysis import SystemConfig
+
+CFG = SystemConfig()
+SWEEP_TAUS = [0.05 * i for i in range(1, 20)]
+
+
+def test_fading_sample(benchmark):
+    draws = benchmark(lambda: fading.sample(CFG.fading_pb_st, np.random.default_rng(1), 1_000_000))
+    assert draws.shape == (1_000_000,)
+
+
+def test_fading_survival(benchmark):
+    points = np.linspace(0.0, 10.0, 100_000)
+    sf = benchmark(fading.survival, CFG.fading_pb_st, points)
+    assert sf[0] == 1.0 and sf[-1] < 1e-6
+
+
+def test_evaluate(benchmark):
+    point = benchmark(analysis.evaluate, CFG)
+    assert 0.0 < point.p_out < 1.0
+
+
+def test_sweep_nineteen_taus(benchmark):
+    points = benchmark(analysis.sweep, CFG, SWEEP_TAUS)
+    assert len(points) == len(SWEEP_TAUS)

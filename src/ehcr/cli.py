@@ -211,6 +211,8 @@ def parse_tau_grid(spec: str) -> list:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise ConfigError(f"bad tau grid {spec!r}; expected a:b:step") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"bad tau grid {spec!r}; a, b and step must be finite")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"bad tau grid {spec!r}; need step > 0 and b >= a")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -378,21 +380,20 @@ def _suite_sim_conservation(cfg, _fault):
     consumption = cfg.tau * capacity
     d = sim.sample_distance(cfg, gen)
     path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
-    snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
     stored = np.array([capacity])
+    idle, after_tx, full = np.empty(1), np.empty(1), np.empty(1, dtype=bool)
     for _ in range(500):
         gp = fading.sample(cfg.fading_pb_st, gen)
-        gs = fading.sample(cfg.fading_st_sr, gen)
         was_full = stored[0] >= capacity
         harvest_scale = (1.0 - cfg.tau) if was_full else 1.0
         expected = min(
             capacity,
             stored[0] - (consumption if was_full else 0.0) + harvest_scale * path_gain * gp,
         )
-        sim._step_slot(
-            stored, capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain,
-            gp, snr_scale * gs > cfg.gamma_th,
+        sim._slot_terms(
+            capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain, gp, idle, after_tx
         )
+        sim._step_slot(stored, capacity, idle, after_tx, full)
         if stored[0] != expected:
             problems.append("per-slot energy bookkeeping mismatch")
             break

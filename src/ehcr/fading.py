@@ -60,6 +60,12 @@ class FadingParams:
         return np.asarray(self.weights)
 
     @cached_property
+    def _weight_cdf(self) -> np.ndarray:
+        cdf = self._weights_arr.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    @cached_property
     def _shapes_arr(self) -> np.ndarray:
         return np.asarray(self.shapes, dtype=np.int64)
 
@@ -138,9 +144,19 @@ def log_moment(p: FadingParams) -> float:
     )
 
 
+def component_index(p: FadingParams, u):
+    """Mixture component of each uniform ``u`` in [0, 1).
+
+    The inverse of the normalised weight CDF, the rule by which
+    ``Generator.choice(p=weights)`` maps its uniforms, so a stream's indices
+    do not depend on whether its uniforms are read at once or in chunks.
+    """
+    return p._weight_cdf.searchsorted(u, side="right")
+
+
 def sample(p: FadingParams, gen: np.random.Generator, size=None):
     """Draw gains by component choice followed by an integer-shape gamma."""
-    j = gen.choice(p.n_mix + 1, p=p._weights_arr, size=size)
+    j = component_index(p, gen.random(size))
     draws = gen.gamma(shape=p._shapes_arr[j], scale=p.omega, size=size)
     return draws if size is not None else float(draws)
 

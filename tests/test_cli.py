@@ -224,6 +224,16 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", range(3))
+    def test_nonfinite_tau_grid_is_usage_error(self, capsys, field, value):
+        parts = ["0.1", "0.5", "0.1"]
+        parts[field] = value
+        assert cli.main(["analyze", "--tau-grid", ":".join(parts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert cli.main(["analyze", "--config", str(missing)]) == 2

@@ -147,6 +147,18 @@ class TestSample:
         result = stats.kstest(draws, lambda x: fading.cdf(DEFAULT_LINK, x))
         assert result.pvalue > 0.01
 
+    @pytest.mark.parametrize("antennas", [1, 16])
+    @pytest.mark.parametrize("size", [None, 1, 5_000])
+    def test_same_stream_as_choice_then_gamma(self, antennas, size):
+        # the component rule is Generator.choice's: a stream read through
+        # component_index gives what choice(p=weights) + gamma gave
+        p = FadingParams(7.0, antennas, 20)
+        gen = np.random.default_rng(19)
+        j = gen.choice(p.n_mix + 1, p=np.asarray(p.weights), size=size)
+        expected = gen.gamma(shape=np.asarray(p.shapes)[j], scale=p.omega, size=size)
+        drawn = fading.sample(p, np.random.default_rng(19), size=size)
+        assert np.array_equal(drawn, expected)
+
     def test_scalar_draw(self):
         value = fading.sample(DEFAULT_LINK, np.random.default_rng(0))
         assert isinstance(value, float) and value > 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ehcr import analysis, sim
+from ehcr import analysis, fading, sim
 from ehcr.analysis import SystemConfig
+from ehcr.fading import FadingParams
 from ehcr.sim import SimConfigurationError
 
 
@@ -53,6 +55,15 @@ class TestSampleDistance:
             assert cfg.d_min <= d <= cfg.d_max
 
 
+def reference_streams(cfg, n_placements, n_total, seed):
+    """Each placement's eager draw: (distance, harvest gains, ST-SR gains)."""
+    for i in range(n_placements):
+        gen = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        d = sim.sample_distance(cfg, gen)
+        gains_p = fading.sample(cfg.fading_pb_st, gen, size=n_total)
+        yield d, gains_p, fading.sample(cfg.fading_st_sr, gen, size=n_total)
+
+
 def buffer_terms(cfg, d):
     """Capacity, consumption and both harvest scales of a placement at distance d."""
     capacity = cfg.p_st_eff * cfg.t_frame
@@ -64,14 +75,19 @@ def snr_ok(cfg, gain_s):
     return cfg.p_st * gain_s / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power) > cfg.gamma_th
 
 
+def advance(stored, capacity, consumption, path_gain, tx_gain, gain_p):
+    """One `sim._step_slot` on the one-element ``stored``; return whether it transmitted."""
+    idle, after_tx, full = np.empty(1), np.empty(1), np.empty(1, dtype=bool)
+    sim._slot_terms(capacity, consumption, path_gain, tx_gain, gain_p, idle, after_tx)
+    sim._step_slot(stored, capacity, idle, after_tx, full)
+    return bool(full[0])
+
+
 def step(cfg, stored, d, gain_p, gain_s):
     """One slot on a one-element buffer: (transmitted, outage, stored after)."""
-    capacity, consumption, path_gain, tx_gain = buffer_terms(cfg, d)
     buffer = np.array([stored])
-    transmitted, succeeded = sim._step_slot(
-        buffer, capacity, consumption, path_gain, tx_gain, gain_p, snr_ok(cfg, gain_s)
-    )
-    return bool(transmitted[0]), not succeeded[0], float(buffer[0])
+    transmitted = advance(buffer, *buffer_terms(cfg, d), gain_p)
+    return transmitted, not (transmitted and snr_ok(cfg, gain_s)), float(buffer[0])
 
 
 class TestStepSlot:
@@ -102,13 +118,13 @@ class TestStepSlot:
         capacity, consumption, path_gain, tx_gain = buffer_terms(cfg, 6.0)
         stored = np.array([capacity])
         for _ in range(300):
-            gp, gs = gen.gamma(2.0, 0.2), gen.gamma(2.0, 0.2)
+            gp = gen.gamma(2.0, 0.2)
             was_full = stored[0] >= capacity
             scale = (1 - cfg.tau) if was_full else 1.0
             expected = min(
                 capacity, stored[0] - (consumption if was_full else 0.0) + scale * path_gain * gp
             )
-            sim._step_slot(stored, capacity, consumption, path_gain, tx_gain, gp, snr_ok(cfg, gs))
+            assert advance(stored, capacity, consumption, path_gain, tx_gain, gp) == was_full
             assert stored[0] == expected
             assert 0.0 <= stored[0] <= capacity
 
@@ -144,25 +160,22 @@ class TestRun:
             sim.run(cfg, 10, 10, seed=1, mode="bogus")
 
     def test_matches_scalar_reference_loop(self):
-        # replay the exact per-placement streams one placement at a time
+        # replay each placement one slot at a time from its eager reference draws
         cfg = default_config()
         n_placements, n_slots, seed = 25, 60, 77
         warmup = sim.warmup_slots(n_slots)
         n_total = warmup + n_slots
-        distances, gains_p, gains_s = sim.placement_streams(cfg, n_placements, n_total, seed)
-        capacity, consumption, path_gain, tx_gain = buffer_terms(cfg, distances)
         tx = np.zeros(n_placements, dtype=int)
         outage = np.zeros(n_placements, dtype=int)
-        for i in range(n_placements):
-            stored = np.array([capacity])
+        streams = reference_streams(cfg, n_placements, n_total, seed)
+        for i, (d, gains_p, gains_s) in enumerate(streams):
+            terms = buffer_terms(cfg, d)
+            stored = np.array([terms[0]])
             for n in range(n_total):
-                transmitted, succeeded = sim._step_slot(
-                    stored, capacity, consumption, path_gain[i], tx_gain[i],
-                    gains_p[i, n], snr_ok(cfg, gains_s[i, n]),
-                )
+                transmitted = advance(stored, *terms, gains_p[n])
                 if n >= warmup:
-                    tx[i] += transmitted[0]
-                    outage[i] += not succeeded[0]
+                    tx[i] += transmitted
+                    outage[i] += not (transmitted and snr_ok(cfg, gains_s[n]))
         est = sim.run(cfg, n_placements, n_slots, seed)
         total = n_placements * n_slots
         assert est.p_tr_hat == tx.sum() / total
@@ -253,3 +266,40 @@ class TestRunSweep:
             sim.run_sweep(cfg, self.TAUS, 1, 100, seed=1)
         with pytest.raises(SimConfigurationError):
             sim.run_sweep(cfg, [], 10, 100, seed=1)
+
+
+class TestGainStream:
+    @pytest.mark.parametrize("split", [1, 7, 1024, None])
+    @pytest.mark.parametrize("antennas", [1, 16])
+    def test_chunks_join_into_the_eager_draw(self, antennas, split):
+        # L = 1 has 20 mixture components, L = 16 has 5
+        cfg = default_config(fading_pb_st=FadingParams(7.0, antennas, 20))
+        n_placements, n_total, seed = 3, 1_100, 41
+        edges = [*range(0, n_total, split or n_total), n_total]
+        distances, uniform_states, gens = sim.placement_streams(cfg, n_placements, n_total, seed)
+        chunks = sim._gain_chunks(cfg.fading_pb_st, uniform_states, gens, edges)
+        joined = np.concatenate([gains.copy() for _, gains in chunks])
+        streams = reference_streams(cfg, n_placements, n_total, seed)
+        for i, (d, gains_p, gains_s) in enumerate(streams):
+            assert distances[i] == d
+            assert np.array_equal(joined[:, i], gains_p)
+            # the gamma reader now stands at the ST-SR draws
+            assert np.array_equal(fading.sample(cfg.fading_st_sr, gens[i], n_total), gains_s)
+
+    @pytest.mark.parametrize("mode", sim.MODES)
+    @pytest.mark.parametrize(
+        "n_taus, n_placements, n_slots", [(1, 50, 20_000), (19, 50, 2_000), (9, 500, 1_000)]
+    )
+    def test_traced_peak_memory(self, mode, n_taus, n_placements, n_slots):
+        # 17 bytes per placement-slot: two float64 gain arrays and a bool link mask
+        eager = 17 * n_placements * (sim.warmup_slots(n_slots) + n_slots)
+        taus = [0.05 * (k + 1) for k in range(n_taus)]
+        tracemalloc.start()
+        try:
+            sim.run_sweep(default_config(), taus, n_placements, n_slots, seed=2, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < eager
+        if n_slots == 20_000:
+            assert peak < eager / 4
