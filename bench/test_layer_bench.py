@@ -5,16 +5,20 @@ Sizes:
 - ``fading.sample``: 1e6 draws of the default harvest link (20 components);
 - ``fading.survival``: 1e5 points on [0, 10];
 - ``analysis.evaluate``: one point at the default configuration;
-- ``analysis.sweep``: 19 taus, 0.05 to 0.95.
+- ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
+  perfbench's analytic-grid workload at seed 1;
+- ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout.
 """
 
 import numpy as np
 
-from ehcr import analysis, fading
+from ehcr import analysis, cli, fading
 from ehcr.analysis import SystemConfig
 
 CFG = SystemConfig()
 SWEEP_TAUS = [0.05 * i for i in range(1, 20)]
+# perfbench's analytic-grid at seed 1: 999 taus, 0.001 apart
+ANALYTIC_GRID = "0.000501:0.998501:0.001"
 
 
 def test_fading_sample(benchmark):
@@ -36,3 +40,18 @@ def test_evaluate(benchmark):
 def test_sweep_nineteen_taus(benchmark):
     points = benchmark(analysis.sweep, CFG, SWEEP_TAUS)
     assert len(points) == len(SWEEP_TAUS)
+
+
+def test_sweep_analytic_grid(benchmark):
+    taus = cli.parse_tau_grid(ANALYTIC_GRID)
+    points = benchmark(analysis.sweep, CFG, taus)
+    assert len(points) == 999
+
+
+def test_cli_analyze_end_to_end(benchmark, capsys):
+    def job():
+        code = cli.main(["analyze", "--tau-grid", ANALYTIC_GRID])
+        capsys.readouterr()
+        return code
+
+    assert benchmark(job) == 0

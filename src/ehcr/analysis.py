@@ -1,9 +1,10 @@
 """Closed-form performance engine for the harvesting-constrained secondary link.
 
 Computes the effective harvesting range, the two-branch transmission
-probability (closed form and quadrature oracle), outage probability and
-effective throughput, including the hardware-imperfection variant where the
-buffer threshold is inflated by amplifier inefficiency and circuit drain.
+probability, outage and throughput, with ideal or lossy (rho, P_c) hardware.
+``sweep`` is the engine, one array pass over a tau grid; ``evaluate``,
+``phi1``, ``phi2`` and ``effective_range`` are one-tau views of it, and the
+quadrature oracles take only its branch limits.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class SystemConfig:
             raise ValueError(f"rho must be >= 1, got {self.rho}")
         if self.p_circuit < 0.0:
             raise ValueError("p_circuit must be nonnegative")
+        if self.tau * self.p_st_eff == 0.0:
+            raise ValueError(f"tau = {self.tau} spends no energy per frame (tau * p_st_eff is 0)")
 
     @property
     def gamma_th(self) -> float:
@@ -128,13 +131,25 @@ def benchmark_capacity_lower_bound(cfg: SystemConfig) -> float:
     return cfg.tau * math.log2(1.0 + snr)
 
 
+def _checked_taus(cfg: SystemConfig, taus) -> np.ndarray:
+    """The tau grid as a float array; the first tau `SystemConfig` rejects raises its error."""
+    taus = np.asarray(taus, dtype=float)
+    ok = (taus > 0.0) & (taus < 1.0) & (taus * cfg.p_st_eff > 0.0)
+    if not ok.all():
+        cfg.with_tau(float(taus[~ok][0]))
+    return taus
+
+
+def _d_star(cfg: SystemConfig, taus: np.ndarray) -> np.ndarray:
+    """Effective range at each tau; inf where it lies beyond every distance."""
+    with np.errstate(over="ignore"):
+        base = cfg.eta * cfg.p_beacon * (1.0 - taus) / (taus * cfg.p_st_eff)
+    return (base * math.exp(fading.log_moment(cfg.fading_pb_st))) ** (1.0 / cfg.alpha_pb_st)
+
+
 def effective_range(cfg: SystemConfig) -> float:
     """Beacon distance at which the two capacity lower bounds coincide."""
-    e_p = fading.log_moment(cfg.fading_pb_st)
-    base = (
-        cfg.eta * cfg.p_beacon * (1.0 - cfg.tau) / (cfg.tau * cfg.p_st_eff)
-    ) * math.exp(e_p)
-    return base ** (1.0 / cfg.alpha_pb_st)
+    return float(_d_star(cfg, np.array([cfg.tau]))[0])
 
 
 def snr_outage_cdf(cfg: SystemConfig) -> float:
@@ -147,30 +162,30 @@ def snr_outage_cdf(cfg: SystemConfig) -> float:
     return fading.cdf(cfg.fading_st_sr, x)
 
 
-def _branches(cfg: SystemConfig, d_star: float):
-    """(threshold coefficient, lo, hi) of the inside and outside branches.
+def _branches(cfg: SystemConfig, taus: np.ndarray, d_star: np.ndarray):
+    """Per-tau (threshold coefficient, lo, hi) of the inside and outside branches.
 
     Inside the effective range the buffer refills from the non-transmit
     fraction of the frame only; beyond it, from the whole frame. A branch
     whose interval is empty (hi <= lo) contributes nothing.
     """
-    need = cfg.tau * cfg.p_st_eff
+    need = taus * cfg.p_st_eff
     harvest = cfg.eta * cfg.p_beacon
-    inside = (need / (harvest * (1.0 - cfg.tau)), cfg.d_min, min(d_star, cfg.d_max))
-    outside = (need / harvest, max(d_star, cfg.d_min), cfg.d_max)
-    return inside, outside
+    inside = (need / (harvest * (1.0 - taus)), cfg.d_min, np.minimum(d_star, cfg.d_max))
+    outside = (need / harvest, np.maximum(d_star, cfg.d_min), cfg.d_max)
+    return np.broadcast_arrays(*inside), np.broadcast_arrays(*outside)
 
 
-def _phi_closed_form(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: float) -> float:
-    # Sum over survival-series terms r = 0..m-1 of the gain law, each
-    # integrated in closed form against the annulus distance density on [lo, hi].
-    if hi <= lo:
-        return 0.0
+def _phi_closed_form(cfg: SystemConfig, threshold_coeff, lo, hi) -> np.ndarray:
+    # Sum over survival-series terms r = 0..m-1 of the gain law, each integrated in closed
+    # form against the annulus density on [lo, hi]; one row per non-empty branch, per r.
+    out = np.zeros(len(lo))
+    live = hi > lo
     p = cfg.fading_pb_st
     alpha = cfg.alpha_pb_st
-    c = threshold_coeff / p.omega
-    a = c * lo**alpha
-    b = c * hi**alpha
+    c = threshold_coeff[live, None] / p.omega
+    a = c * lo[live, None] ** alpha
+    b = c * hi[live, None] ** alpha
     r = np.arange(p.m, dtype=float)
     s = r + 2.0 / alpha
     # P(s, b) - P(s, a), taken from the upper tails where that avoids cancellation
@@ -180,21 +195,23 @@ def _phi_closed_form(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: f
     diff = np.where(upper, qa - special.gammaincc(s, b), pb - special.gammainc(s, a))
     terms = p._tail_weights * np.exp(special.gammaln(s) - special.gammaln(r + 1.0)) * diff
     norm = cfg.d_max**2 - cfg.d_min**2
-    return float(2.0 * c ** (-2.0 / alpha) * terms.sum() / (alpha * norm))
+    out[live] = 2.0 * c[:, 0] ** (-2.0 / alpha) * terms.sum(axis=1) / (alpha * norm)
+    return out
 
 
 def phi1(cfg: SystemConfig) -> float:
     """Probability of transmitting from inside the effective range."""
-    return _phi_closed_form(cfg, *_branches(cfg, effective_range(cfg))[0])
+    return evaluate(cfg).phi1
 
 
 def phi2(cfg: SystemConfig) -> float:
     """Probability of transmitting from beyond the effective range."""
-    return _phi_closed_form(cfg, *_branches(cfg, effective_range(cfg))[1])
+    return evaluate(cfg).phi2
 
 
-def _phi_quadrature(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: float,
-                    acc: AccuracySpec) -> float:
+def _phi_quadrature(cfg: SystemConfig, branch: int, acc: AccuracySpec) -> float:
+    taus = np.array([cfg.tau])
+    coeff, lo, hi = (float(v[0]) for v in _branches(cfg, taus, _d_star(cfg, taus))[branch])
     if hi <= lo:
         return 0.0
     p = cfg.fading_pb_st
@@ -202,19 +219,19 @@ def _phi_quadrature(cfg: SystemConfig, threshold_coeff: float, lo: float, hi: fl
     norm = cfg.d_max**2 - cfg.d_min**2
 
     def integrand(x: float) -> float:
-        return fading.survival(p, threshold_coeff * x**alpha) * 2.0 * x / norm
+        return fading.survival(p, coeff * x**alpha) * 2.0 * x / norm
 
     return numerics.integrate_adaptive(integrand, lo, hi, acc)
 
 
 def phi1_quadrature(cfg: SystemConfig, acc: AccuracySpec = AccuracySpec(1e-10, 200)) -> float:
     """Independent quadrature route for phi1 (oracle, not the fast path)."""
-    return _phi_quadrature(cfg, *_branches(cfg, effective_range(cfg))[0], acc)
+    return _phi_quadrature(cfg, 0, acc)
 
 
 def phi2_quadrature(cfg: SystemConfig, acc: AccuracySpec = AccuracySpec(1e-10, 200)) -> float:
     """Independent quadrature route for phi2 (oracle, not the fast path)."""
-    return _phi_quadrature(cfg, *_branches(cfg, effective_range(cfg))[1], acc)
+    return _phi_quadrature(cfg, 1, acc)
 
 
 def j_correction(cfg: SystemConfig, l: int, d: float) -> float:
@@ -251,25 +268,17 @@ def average_throughput(cfg: SystemConfig) -> float:
 
 def evaluate(cfg: SystemConfig) -> MetricPoint:
     """All analytic metrics at the configured switching time."""
-    d_star = effective_range(cfg)
-    inside, outside = _branches(cfg, d_star)
-    v1 = _phi_closed_form(cfg, *inside)
-    v2 = _phi_closed_form(cfg, *outside)
-    p_tr = min(1.0, max(0.0, v1 + v2))
-    f_snr = snr_outage_cdf(cfg)
-    p_out = p_tr * f_snr + (1.0 - p_tr)
-    throughput = cfg.tau * cfg.rate * (1.0 - p_out)
-    return MetricPoint(
-        d_star=d_star,
-        phi1=v1,
-        phi2=v2,
-        p_tr=p_tr,
-        f_snr=f_snr,
-        p_out=p_out,
-        throughput=throughput,
-    )
+    return sweep(cfg, [cfg.tau])[0]
 
 
 def sweep(cfg: SystemConfig, tau_grid) -> list[MetricPoint]:
-    """One MetricPoint per switching-time value."""
-    return [evaluate(cfg.with_tau(float(t))) for t in tau_grid]
+    """One MetricPoint per switching-time value, all computed in one array pass."""
+    taus = _checked_taus(cfg, tau_grid)
+    d_star = _d_star(cfg, taus)
+    v1, v2 = (_phi_closed_form(cfg, *branch) for branch in _branches(cfg, taus, d_star))
+    p_tr = np.clip(v1 + v2, 0.0, 1.0)
+    f_snr = snr_outage_cdf(cfg)
+    p_out = p_tr * f_snr + (1.0 - p_tr)
+    throughput = taus * cfg.rate * (1.0 - p_out)
+    columns = (d_star, v1, v2, p_tr, np.full_like(taus, f_snr), p_out, throughput)
+    return [MetricPoint(*row) for row in zip(*(col.tolist() for col in columns))]

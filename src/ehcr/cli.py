@@ -23,7 +23,6 @@ from .analysis import SystemConfig
 from .fading import FadingParams
 from .numerics import AccuracySpec
 
-ANALYTIC_COLUMNS = ("tau", "d_star", "phi1", "phi2", "p_tr", "f_snr", "p_out", "throughput")
 SIM_COLUMNS = ("p_tr_mc", "p_out_mc", "thr_mc", "ci99_ptr", "ci99_pout")
 
 CONFIG_DEFAULTS = {
@@ -226,10 +225,11 @@ def parse_tau_grid(spec: str) -> list:
 def cmd_analyze(cfg: SystemConfig, tau_grid) -> RunReport:
     """Analytic sweep; one CSV row per switching-time value."""
     started = time.perf_counter()
-    rows = [
-        dict(zip(ANALYTIC_COLUMNS, (float(tau), *dataclasses.astuple(point))))
-        for tau, point in zip(tau_grid, analysis.sweep(cfg, tau_grid))
-    ]
+    try:
+        points = analysis.sweep(cfg, tau_grid)
+    except ValueError as exc:
+        raise ConfigError(f"invalid tau grid: {exc}") from exc
+    rows = [{"tau": float(tau), **vars(point)} for tau, point in zip(tau_grid, points)]
     return RunReport(
         config=config_echo(cfg),
         rows=rows,

@@ -56,12 +56,8 @@ class FadingParams:
         object.__setattr__(self, "shapes", shapes)
 
     @cached_property
-    def _weights_arr(self) -> np.ndarray:
-        return np.asarray(self.weights)
-
-    @cached_property
     def _weight_cdf(self) -> np.ndarray:
-        cdf = self._weights_arr.cumsum()
+        cdf = np.cumsum(self.weights)
         cdf /= cdf[-1]
         return cdf
 
@@ -77,6 +73,11 @@ class FadingParams:
         for cj, mj in zip(self.weights, self.shapes):
             w[:mj] += cj
         return w
+
+    @cached_property
+    def _log_moment(self) -> float:
+        return math.fsum(cj * (digamma_integer(mj) + math.log(self.omega))
+                         for cj, mj in zip(self.weights, self.shapes))
 
     def _with_scaled_omega(self, factor: float) -> "FadingParams":
         # Fault-injection hook for the validation suite; deliberately breaks
@@ -138,10 +139,7 @@ def cdf(p: FadingParams, x):
 
 def log_moment(p: FadingParams) -> float:
     """Expected log-gain; strictly negative for any unit-mean fading law."""
-    return math.fsum(
-        cj * (digamma_integer(mj) + math.log(p.omega))
-        for cj, mj in zip(p.weights, p.shapes)
-    )
+    return p._log_moment
 
 
 def component_index(p: FadingParams, u):

@@ -212,19 +212,14 @@ def _renewal_record(cfg, taus, distances, chunks, warmup, record):
     """Set ``record`` bits where the memoryless slot-renewal model transmits.
 
     The previous slot's harvest alone (plus the fixed post-transmission
-    leftover) decides transmission; thresholds differ inside/outside the
-    effective range because the in-range branch harvests only the
-    non-transmit fraction of the frame. No state links the slots, so every
-    measured slot of a chunk is judged at once.
+    leftover) decides transmission, against the closed form's branch
+    threshold at the placement's distance. No state links the slots, so
+    every measured slot of a chunk is judged at once.
     """
-    d_star = np.array([analysis.effective_range(cfg.with_tau(t)) for t in taus.tolist()])[:, None]
-    inside = distances <= d_star
-    threshold = (
-        taus[:, None]
-        * cfg.p_st_eff
-        * distances**cfg.alpha_pb_st
-        / (cfg.eta * cfg.p_beacon * np.where(inside, 1.0 - taus[:, None], 1.0))
-    )
+    d_star = analysis._d_star(cfg, taus)
+    (inside, *_), (outside, *_) = analysis._branches(cfg, taus, d_star)
+    coeff = np.where(distances <= d_star[:, None], inside[:, None], outside[:, None])
+    threshold = coeff * distances**cfg.alpha_pb_st
     for lo, gains in chunks:
         measured = gains[max(warmup - lo, 0):]
         if not len(measured):
@@ -278,10 +273,9 @@ def run_sweep(
         )
     if mode not in MODES:
         raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    configs = [cfg.with_tau(float(t)) for t in taus]
-    if not configs:
+    taus = analysis._checked_taus(cfg, taus)
+    if not len(taus):
         raise SimConfigurationError("taus must not be empty")
-    taus = np.array([c.tau for c in configs])
 
     warmup = warmup_slots(n_slots)
     n_total = warmup + n_slots
@@ -301,16 +295,16 @@ def run_sweep(
 
     total = n_placements * n_slots
     estimates = []
-    for c, tx_k, ok_k in zip(configs, tx, ok):
+    for tau, tx_k, ok_k in zip(taus.tolist(), tx, ok):
         outage_count = total - int(ok_k.sum())
         ci99_p_out = _ci99((n_slots - ok_k) / n_slots)
         estimates.append(SimEstimate(
             p_tr_hat=int(tx_k.sum()) / total,
             p_out_hat=outage_count / total,
-            throughput_hat=c.tau * c.rate * (total - outage_count) / total,
+            throughput_hat=tau * cfg.rate * (total - outage_count) / total,
             ci99_p_tr=_ci99(tx_k / n_slots),
             ci99_p_out=ci99_p_out,
-            ci99_throughput=c.tau * c.rate * ci99_p_out,
+            ci99_throughput=tau * cfg.rate * ci99_p_out,
             n_slots=n_slots,
             n_placements=n_placements,
             seed=int(seed),

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehcr import analysis, fading
 from ehcr.analysis import SystemConfig
@@ -43,6 +46,12 @@ class TestSystemConfig:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError):
                     default_config(**{name: bad})
+
+    def test_rejects_tau_that_spends_nothing(self):
+        # tau * p_st_eff underflows to 0 at the smallest subnormal tau
+        with pytest.raises(ValueError, match="spends no energy"):
+            default_config(tau=5e-324)
+        assert default_config(tau=1e-310).tau == 1e-310
 
 
 class TestCapacityBounds:
@@ -262,3 +271,50 @@ class TestCompositeMetrics:
             )
             assert point.p_out >= 1 - point.p_tr - 1e-15
             assert point.throughput <= 0.8 * 1.0 + 1e-12
+
+
+SETUPS = [(antennas, ideal) for antennas in (1, 16) for ideal in (True, False)]
+
+
+@st.composite
+def tau_grids(draw):
+    # At every setup d_star exceeds d_max below tau = 0.0178 and falls under
+    # d_min above tau = 0.943; each grid holds one tau of each kind.
+    below = draw(st.floats(min_value=1e-300, max_value=0.015))
+    above = draw(st.floats(min_value=0.95, max_value=1.0 - 1e-12))
+    middle = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), max_size=6))
+    return draw(st.permutations([below, above, *middle]))
+
+
+class TestSweepEngine:
+    @settings(max_examples=30, deadline=None)
+    @given(setup=st.sampled_from(SETUPS), taus=tau_grids())
+    def test_rows_are_one_tau_evaluations(self, setup, taus):
+        antennas, ideal = setup
+        cfg = default_config(ideal=ideal, fading_pb_st=FadingParams(7.0, antennas, 20))
+        points = analysis.sweep(cfg, taus)
+        d_star = [point.d_star for point in points]
+        assert min(d_star) < cfg.d_min and max(d_star) > cfg.d_max
+        for tau, point in zip(taus, points):
+            one = cfg.with_tau(tau)
+            assert point == analysis.evaluate(one)
+            for closed, oracle in (
+                (point.phi1, analysis.phi1_quadrature(one)),
+                (point.phi2, analysis.phi2_quadrature(one)),
+            ):
+                assert abs(closed - oracle) <= 1e-7 * max(abs(oracle), 1e-12)
+            values = (point.phi1, point.phi2, point.p_tr, point.p_out, point.throughput)
+            assert all(math.isfinite(v) for v in values)
+            # the two branches split the annulus, so their sum is a probability
+            assert 0.0 <= point.phi1 + point.phi2 <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, math.nan, 5e-324])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_rejects_grid_with_invalid_tau(self, bad, position):
+        cfg = default_config()
+        taus = [0.1, 0.3, 0.5, 0.7]
+        taus.insert(position, bad)
+        with pytest.raises(ValueError) as from_config:
+            cfg.with_tau(bad)
+        with pytest.raises(ValueError, match=re.escape(str(from_config.value))):
+            analysis.sweep(cfg, taus)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -233,6 +234,26 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--tau-grid", "5e-324:5e-324:1"],
+        ["range", "--tau", "5e-324"],
+        ["simulate", "--tau-grid", "5e-324:5e-324:1", "--placements", "4", "--slots", "10"],
+    ])
+    def test_tau_with_no_spend_is_usage_error(self, capsys, argv):
+        # tau * p_st_eff underflows to 0, so the effective range would divide by 0
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_tiny_tau_gives_finite_row(self, capsys):
+        assert cli.main(["analyze", "--tau-grid", "1e-310:1e-310:1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [row] = rows_from_csv(captured.out)
+        for column in ("phi1", "phi2", "p_tr", "p_out", "throughput"):
+            assert math.isfinite(row[column])
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
