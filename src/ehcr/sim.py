@@ -20,24 +20,34 @@ is useful for isolating the effect of multi-slot energy accumulation.
 ``run_sweep`` estimates a whole tau grid from one draw of the gain streams:
 the streams depend only on the seed and the placement index, so every tau
 sees the same placements and fades, and each tau's estimate is exactly what
-``run`` gives for that tau alone. ``run`` is the one-tau case. Confidence
-half-widths are placement-level: slots of one placement share its distance
-and its buffer, so the per-placement fractions, not the slots, are the
-independent samples, and at least two placements are needed.
+``run`` gives for that tau alone. ``run`` is the one-tau case.
 
-Each placement's generator yields, in order, its distance, ``n_total``
-component uniforms and ``n_total`` gammas of the harvest link, then the
-ST-SR draws laid out the same way. The harvest gains are read in slot chunks
-of ``_CHUNK`` from two positions in that stream: a copy of the PCG64 state
-taken after the distance reads the uniforms, and the generator itself,
-advanced by ``n_total`` (one 64-bit output per uniform), reads the gammas.
-The chunks join into exactly the eager draw, so gain memory is
-O(placements × chunk) and every estimate is the same as with the whole
-stream drawn at once. Each slot that transmits sets one bit of a packed
-record of the measured slots per (tau, placement). Once the last chunk is
-read, each generator stands at its ST-SR draws; one placement's row is drawn
-at a time, judged against the SNR threshold and packed, and the record and
-the link bits reduce to the transmit and success counts.
+Placements are stratified over the annulus CDF: they pair up, the last
+stratum holding three when their number is odd, and stratum ``k`` covers
+the slice ``[s_k, s_k + n_k) / n`` of the CDF, where ``s_k`` is its first
+placement and ``n_k`` its size. Each stratum's width is its share of the
+placements, so the plain mean over placements is unbiased. Confidence
+half-widths are placement-level, since slots of one placement share its
+distance and its buffer, and come from the spread inside each stratum:
+``var = Σ_k (n_k/n)² s_k² / n_k``, which for a pair is ``(f_a − f_b)² / n²``.
+That needs at least two placements.
+
+Each placement's generator yields, in order, the uniform that places its
+distance inside its stratum, ``n_total`` component uniforms and ``n_total``
+gammas of the harvest link, then the ST-SR link stream laid out the same
+way. Both gain streams are read from two positions: a copy of the PCG64
+state reads the uniforms, and the generator itself, advanced by ``n_total``
+(one 64-bit output per uniform), reads the gammas. The harvest gains are
+read in slot chunks of ``_CHUNK``, which join into exactly the eager draw,
+so gain memory is O(placements × chunk). The slot loop records, per (tau,
+placement), how many measured slots transmit. A slot's link gain matters
+only if it transmits, so the j-th measured transmission of a placement gets
+the j-th gain of its link stream, and only as many link gains are drawn as
+the placement's largest transmit count over the grid, rounded up to a
+multiple of ``_LINK_QUANTUM``. The link stream is
+read the same way whatever that count, so a tau's estimate does not depend
+on the rest of its grid. The success count of a (tau, placement) is the
+placement's cumulative link-success count at its transmit count.
 """
 from __future__ import annotations
 
@@ -56,11 +66,11 @@ MODES = ("buffer", "slot-renewal")
 
 # slots of harvest gain drawn per placement at a time; a multiple of _BLOCK
 _CHUNK = 2048
-# slots per block of the buffer update; a multiple of 8, so that a measured
-# block packs into whole bytes of the transmit record
+# slots per block of the buffer update
 _BLOCK = 32
-# number of set bits in each byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# link gains are drawn in whole multiples of this many per placement: draws
+# of a few sizes keep repeated runs from fragmenting the heap
+_LINK_QUANTUM = 64
 
 
 class SimConfigurationError(ValueError):
@@ -82,29 +92,43 @@ class SimEstimate:
     seed: int
 
 
-def sample_distance(cfg: SystemConfig, gen: np.random.Generator) -> float:
-    """Inverse-CDF draw from the linear annulus density on [d_min, d_max]."""
-    u = gen.random()
+def _distance(cfg: SystemConfig, u: float) -> float:
+    """Inverse CDF of the linear annulus density on [d_min, d_max] at ``u``."""
     return math.sqrt(cfg.d_min**2 + u * (cfg.d_max**2 - cfg.d_min**2))
 
 
+def sample_distance(cfg: SystemConfig, gen: np.random.Generator) -> float:
+    """Inverse-CDF draw from the linear annulus density on [d_min, d_max]."""
+    return _distance(cfg, gen.random())
+
+
+def _stratum(i: int, n_placements: int):
+    """First placement and size of placement ``i``'s stratum of the annulus CDF.
+
+    Placements pair up; for odd ``n_placements`` the last stratum holds three.
+    """
+    k = min(i // 2, n_placements // 2 - 1)
+    return 2 * k, (2 + n_placements % 2 if k == n_placements // 2 - 1 else 2)
+
+
 def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: int):
-    """Per-placement distances and the two read positions of each gain stream.
+    """Per-placement distances and the two read positions of each harvest stream.
 
     Each placement owns a generator seeded from (seed, placement index), so
-    results are independent of execution order and bit-reproducible. After
-    the distance, the stream holds ``n_total`` component uniforms, then the
-    ``n_total`` harvest gammas, then the ST-SR draws. Returns the distances,
-    each placement's uniform read position (a PCG64 state) and its generator,
-    advanced past the uniforms to where the gammas start.
+    results are independent of execution order and bit-reproducible. Its
+    first uniform places its distance inside its stratum's slice of the
+    annulus CDF. Then the stream holds ``n_total`` component uniforms, the
+    ``n_total`` harvest gammas and the ST-SR link stream. Returns the
+    distances, each placement's uniform read position (a PCG64 state) and its
+    generator, advanced past the uniforms to where the gammas start.
     """
     distances = np.empty(n_placements)
     uniform_states = []
     gens = []
-    base = int(seed) % 2**63
     for i in range(n_placements):
-        gen = np.random.default_rng(np.random.SeedSequence([base, i]))
-        distances[i] = sample_distance(cfg, gen)
+        gen = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        start, size = _stratum(i, n_placements)
+        distances[i] = _distance(cfg, (start + size * gen.random()) / n_placements)
         uniform_states.append(gen.bit_generator.state)
         # one 64-bit output per uniform double
         gen.bit_generator.advance(n_total)
@@ -116,36 +140,34 @@ def warmup_slots(n_slots: int) -> int:
     return max(100, n_slots // 10)
 
 
-def _slot_edges(n_total: int, warmup: int):
-    """Chunk and block edges of the slot range ``[0, n_total)``.
+def _slot_edges(n_total: int, step: int):
+    """Edges of the slot range ``[0, n_total)`` every ``step`` slots."""
+    return [*range(0, n_total, step), n_total]
 
-    Blocks start every ``_BLOCK`` slots from the end of the warm-up, so each
-    measured block starts on a byte of the packed record. Chunks are whole
-    blocks; the first one also holds the warm-up's remainder.
+
+def _read_gains(p, reader, state, gen, size):
+    """``size`` gains of a two-position stream, and the moved-on uniform position.
+
+    The component uniforms are read at ``state`` with ``reader``, and the
+    gammas from ``gen``, so consecutive reads join into exactly what one
+    `fading.sample` of the whole stream gives.
     """
-    first = warmup % _BLOCK
-    blocks = sorted({0, n_total, *range(first, n_total, _BLOCK)})
-    chunks = sorted({0, n_total, *range(first + _CHUNK, n_total, _CHUNK)})
-    return chunks, blocks
+    reader.bit_generator.state = state
+    j = fading.component_index(p, reader.random(size))
+    return gen.gamma(shape=p._shapes_arr[j], scale=p.omega), reader.bit_generator.state
 
 
 def _gain_chunks(p, uniform_states, gens, chunks):
     """Yield ``(first slot, gains)`` per chunk, gains slot-major ``(slots, placements)``.
 
-    Each chunk reads its component uniforms at the placement's uniform
-    position, which it moves on in ``uniform_states``, and its gammas from
-    the placement's generator, so the chunks join into exactly what one
-    `fading.sample` of the whole stream gives.
+    Each chunk moves on the placements' uniform positions in ``uniform_states``.
     """
     reader = np.random.Generator(np.random.PCG64(0))
     out = np.empty((max(np.diff(chunks)), len(gens)))
     for lo, hi in zip(chunks, chunks[1:]):
         gains = out[: hi - lo]
         for i, gen in enumerate(gens):
-            reader.bit_generator.state = uniform_states[i]
-            j = fading.component_index(p, reader.random(hi - lo))
-            uniform_states[i] = reader.bit_generator.state
-            gains[:, i] = gen.gamma(shape=p._shapes_arr[j], scale=p.omega)
+            gains[:, i], uniform_states[i] = _read_gains(p, reader, uniform_states[i], gen, hi - lo)
         yield lo, gains
 
 
@@ -178,8 +200,8 @@ def _step_slot(stored, capacity, idle, after_tx, full):
     np.copyto(stored, after_tx, where=full)
 
 
-def _buffer_record(cfg, taus, distances, chunks, blocks, warmup, record):
-    """Run the energy buffers; set ``record`` bits of the measured slots that transmit.
+def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
+    """Run the energy buffers; add to ``tx`` the measured slots that transmit.
 
     One `_step_slot` per slot carries every tau's buffer state; the per-slot
     levels are filled a block at a time. ``tx_gain`` = (1 - tau) * path_gain
@@ -190,7 +212,7 @@ def _buffer_record(cfg, taus, distances, chunks, blocks, warmup, record):
     consumption = taus[:, None] * capacity
     path_gain = cfg.eta * t * cfg.p_beacon / distances**cfg.alpha_pb_st
     tx_gain = (1.0 - taus)[:, None] * path_gain
-    stored = np.full((len(taus), len(distances)), capacity)
+    stored = np.full(tx.shape, capacity)
     idle = np.empty((_BLOCK, 1, len(distances)))
     after_tx = np.empty((_BLOCK, *stored.shape))
     full = np.empty(after_tx.shape, dtype=bool)
@@ -203,13 +225,12 @@ def _buffer_record(cfg, taus, distances, chunks, blocks, warmup, record):
                     gains[a - lo:b - lo, None], idle[:n], after_tx[:n])
         for slot in zip(idle[:n], after_tx[:n], full[:n]):
             _step_slot(stored, capacity, *slot)
-        if a >= warmup:
-            byte = (a - warmup) // 8
-            record[byte:byte + (n + 7) // 8] = np.packbits(full[:n], axis=0)
+        if b > warmup:
+            tx += full[max(warmup - a, 0):n].sum(axis=0)
 
 
-def _renewal_record(cfg, taus, distances, chunks, warmup, record):
-    """Set ``record`` bits where the memoryless slot-renewal model transmits.
+def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
+    """Add to ``tx`` the measured slots where the memoryless slot-renewal model transmits.
 
     The previous slot's harvest alone (plus the fixed post-transmission
     leftover) decides transmission, against the closed form's branch
@@ -222,26 +243,32 @@ def _renewal_record(cfg, taus, distances, chunks, warmup, record):
     threshold = coeff * distances**cfg.alpha_pb_st
     for lo, gains in chunks:
         measured = gains[max(warmup - lo, 0):]
-        if not len(measured):
-            continue
-        byte = (max(lo, warmup) - warmup) // 8
         for k, row in enumerate(threshold):
-            bits = np.packbits(measured >= row, axis=0)
-            record[byte:byte + len(bits), k] = bits
+            tx[k] += (measured >= row).sum(axis=0)
 
 
-def _link_bits(cfg, gens, warmup, n_total):
-    """Packed per-slot link success ``(bytes, placements)`` over the measured slots.
+def _link_successes(cfg, gens, n_total, most):
+    """Yield each placement's cumulative ST-SR link successes over its transmissions.
 
     Called once every harvest chunk is drawn, when each generator stands at
-    its placement's ST-SR draws; one placement's row is drawn at a time.
+    its placement's link stream: ``n_total`` component uniforms, then the
+    gammas. Only the first ``most[i]`` gains, rounded up to a multiple of
+    ``_LINK_QUANTUM``, are read, and they are the first ones of the eager
+    draw. Entry ``j`` of the yielded array counts the successes among the
+    first ``j`` transmissions, for ``j`` up to at least ``most[i]``.
     """
+    p = cfg.fading_st_sr
     snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
-    bits = np.empty(((n_total - warmup + 7) // 8, len(gens)), dtype=np.uint8)
-    for i, gen in enumerate(gens):
-        row = fading.sample(cfg.fading_st_sr, gen, size=n_total)[warmup:]
-        bits[:, i] = np.packbits(snr_scale * row > cfg.gamma_th)
-    return bits
+    reader = np.random.Generator(np.random.PCG64(0))
+    for gen, m in zip(gens, most.tolist()):
+        m = min(-(-m // _LINK_QUANTUM) * _LINK_QUANTUM, n_total)
+        state = gen.bit_generator.state
+        # one 64-bit output per uniform double
+        gen.bit_generator.advance(n_total)
+        gains, _ = _read_gains(p, reader, state, gen, m)
+        successes = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(snr_scale * gains > cfg.gamma_th, out=successes[1:])
+        yield successes
 
 
 def _ci99(fractions: np.ndarray) -> float:
@@ -249,8 +276,17 @@ def _ci99(fractions: np.ndarray) -> float:
 
     Slots of one placement share its distance and buffer, so they are
     correlated; placements are independent, so the placement is the sample.
+    The variance of the mean is ``Σ_k (n_k/n)² s_k² / n_k`` over the strata,
+    with ``s_k²`` the sample variance inside stratum ``k``: a pair adds
+    ``(f_a − f_b)² / n²``, and a last triple ``3 s² / n²``.
     """
-    return _Z99 * float(np.std(fractions, ddof=1)) / math.sqrt(len(fractions))
+    n = len(fractions)
+    triple = n % 2 * 3
+    pairs = fractions[:n - triple].reshape(-1, 2)
+    total = float(np.sum((pairs[:, 0] - pairs[:, 1]) ** 2))
+    if triple:
+        total += 3.0 * float(np.var(fractions[-3:], ddof=1))
+    return _Z99 * math.sqrt(total) / n
 
 
 def run_sweep(
@@ -273,6 +309,8 @@ def run_sweep(
         )
     if mode not in MODES:
         raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    if int(seed) < 0:
+        raise SimConfigurationError(f"seed must be a non-negative integer, got {seed}")
     taus = analysis._checked_taus(cfg, taus)
     if not len(taus):
         raise SimConfigurationError("taus must not be empty")
@@ -280,18 +318,17 @@ def run_sweep(
     warmup = warmup_slots(n_slots)
     n_total = warmup + n_slots
     distances, uniform_states, gens = placement_streams(cfg, n_placements, n_total, seed)
-    chunk_edges, block_edges = _slot_edges(n_total, warmup)
-    # one bit per (measured slot, tau, placement): set where the slot transmits
-    record = np.zeros(((n_slots + 7) // 8, len(taus), n_placements), dtype=np.uint8)
-    chunks = _gain_chunks(cfg.fading_pb_st, uniform_states, gens, chunk_edges)
+    # measured slots that transmit, per (tau, placement)
+    tx = np.zeros((len(taus), n_placements), dtype=np.int64)
+    chunks = _gain_chunks(cfg.fading_pb_st, uniform_states, gens, _slot_edges(n_total, _CHUNK))
     if mode == "buffer":
-        _buffer_record(cfg, taus, distances, chunks, block_edges, warmup, record)
+        _buffer_counts(cfg, taus, distances, chunks, _slot_edges(n_total, _BLOCK), warmup, tx)
     else:
-        _renewal_record(cfg, taus, distances, chunks, warmup, record)
-    del chunks  # frees the chunk buffer before the ST-SR draws
-    link = _link_bits(cfg, gens, warmup, n_total)
-    tx = _POPCOUNT[record].sum(axis=0, dtype=np.int64)
-    ok = _POPCOUNT[record & link[:, None, :]].sum(axis=0, dtype=np.int64)
+        _renewal_counts(cfg, taus, distances, chunks, warmup, tx)
+    del chunks  # frees the chunk buffer before the link draws
+    ok = np.empty_like(tx)
+    for i, successes in enumerate(_link_successes(cfg, gens, n_total, tx.max(axis=0))):
+        ok[:, i] = successes[tx[:, i]]
 
     total = n_placements * n_slots
     estimates = []

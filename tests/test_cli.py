@@ -210,6 +210,14 @@ class TestMain:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # refused, not reduced modulo 2**63, which would give -1 the stream of 2**63 - 1
+        argv = ["simulate", "--tau-grid", "0.5:0.5:0.1", "--placements", "4", "--slots", "10",
+                "--seed", "-1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
+
     def test_bad_config_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("m = 3\nL = 7\n")

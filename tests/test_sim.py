@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from ehcr import analysis, fading, sim
 from ehcr.analysis import SystemConfig
@@ -55,13 +55,48 @@ class TestSampleDistance:
             assert cfg.d_min <= d <= cfg.d_max
 
 
+def stratum(i, n):
+    """First placement and size of placement i's stratum: pairs, a last triple for odd n."""
+    k = min(i // 2, n // 2 - 1)
+    return 2 * k, (n - 2 * k if k == n // 2 - 1 else 2)
+
+
 def reference_streams(cfg, n_placements, n_total, seed):
-    """Each placement's eager draw: (distance, harvest gains, ST-SR gains)."""
+    """Each placement's eager draw: (distance, harvest gains, ST-SR link gains)."""
     for i in range(n_placements):
         gen = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        d = sim.sample_distance(cfg, gen)
+        start, size = stratum(i, n_placements)
+        u = (start + size * gen.random()) / n_placements
+        d = math.sqrt(cfg.d_min**2 + u * (cfg.d_max**2 - cfg.d_min**2))
         gains_p = fading.sample(cfg.fading_pb_st, gen, size=n_total)
         yield d, gains_p, fading.sample(cfg.fading_st_sr, gen, size=n_total)
+
+
+def snr_scale(cfg):
+    return cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
+
+
+def link_limited_config(**overrides):
+    """A config whose ST-SR link fails about half the time.
+
+    The rate is raised until the SNR threshold sits at the link gain's median.
+    """
+    cfg = default_config(**overrides)
+    median = optimize.brentq(lambda x: fading.survival(cfg.fading_st_sr, x) - 0.5, 1e-6, 10.0)
+    return dataclasses.replace(cfg, rate=math.log2(1.0 + median * snr_scale(cfg)))
+
+
+def stratified_ci99(counts, n_slots):
+    """99% half-width from the within-stratum spread of per-placement fractions, by hand."""
+    f = counts / n_slots
+    n = len(f)
+    var = 0.0
+    for start in range(0, 2 * (n // 2), 2):
+        size = stratum(start, n)[1]
+        group = f[start:start + size]
+        # (n_k/n)^2 * s_k^2 / n_k
+        var += (size / n) ** 2 * np.var(group, ddof=1) / size
+    return sim._Z99 * math.sqrt(var)
 
 
 def buffer_terms(cfg, d):
@@ -72,7 +107,15 @@ def buffer_terms(cfg, d):
 
 
 def snr_ok(cfg, gain_s):
-    return cfg.p_st * gain_s / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power) > cfg.gamma_th
+    return snr_scale(cfg) * gain_s > cfg.gamma_th
+
+
+def renewal_threshold(cfg, d):
+    """Harvest gain at and above which the slot-renewal model transmits at distance d."""
+    taus = np.array([cfg.tau])
+    d_star = analysis._d_star(cfg, taus)
+    (inside, *_), (outside, *_) = analysis._branches(cfg, taus, d_star)
+    return float((inside if d <= d_star[0] else outside)[0]) * d**cfg.alpha_pb_st
 
 
 def advance(stored, capacity, consumption, path_gain, tx_gain, gain_p):
@@ -160,34 +203,38 @@ class TestRun:
             sim.run(cfg, 10, 10, seed=1, mode="bogus")
 
     def test_matches_scalar_reference_loop(self):
-        # replay each placement one slot at a time from its eager reference draws
-        cfg = default_config()
+        # replay each placement one slot at a time from its eager reference
+        # draws: the j-th measured transmission takes the j-th link gain. The
+        # link fails about half the time, so a slot given the wrong link gain
+        # changes the outage count.
+        cfg = link_limited_config()
         n_placements, n_slots, seed = 25, 60, 77
         warmup = sim.warmup_slots(n_slots)
         n_total = warmup + n_slots
-        tx = np.zeros(n_placements, dtype=int)
-        outage = np.zeros(n_placements, dtype=int)
-        streams = reference_streams(cfg, n_placements, n_total, seed)
-        for i, (d, gains_p, gains_s) in enumerate(streams):
-            terms = buffer_terms(cfg, d)
-            stored = np.array([terms[0]])
-            for n in range(n_total):
-                transmitted = advance(stored, *terms, gains_p[n])
-                if n >= warmup:
-                    tx[i] += transmitted
-                    outage[i] += not (transmitted and snr_ok(cfg, gains_s[n]))
-        est = sim.run(cfg, n_placements, n_slots, seed)
-        total = n_placements * n_slots
-        assert est.p_tr_hat == tx.sum() / total
-        assert est.p_out_hat == outage.sum() / total
-
-        # placement-level half-widths: the per-placement fractions are the samples
-        def ci99(counts):
-            return sim._Z99 * np.std(counts / n_slots, ddof=1) / math.sqrt(n_placements)
-
-        assert est.ci99_p_tr == ci99(tx)
-        assert est.ci99_p_out == ci99(outage)
-        assert est.ci99_throughput == cfg.tau * cfg.rate * ci99(outage)
+        for mode in sim.MODES:
+            tx = np.zeros(n_placements, dtype=int)
+            outage = np.zeros(n_placements, dtype=int)
+            streams = reference_streams(cfg, n_placements, n_total, seed)
+            for i, (d, gains_p, gains_s) in enumerate(streams):
+                terms = buffer_terms(cfg, d)
+                stored = np.array([terms[0]])
+                for n in range(n_total):
+                    if mode == "buffer":
+                        transmitted = advance(stored, *terms, gains_p[n])
+                    else:
+                        transmitted = gains_p[n] >= renewal_threshold(cfg, d)
+                    if n >= warmup:
+                        outage[i] += not (transmitted and snr_ok(cfg, gains_s[tx[i]]))
+                        tx[i] += transmitted
+            est = sim.run(cfg, n_placements, n_slots, seed, mode=mode)
+            total = n_placements * n_slots
+            assert 0 < outage.sum() - (total - tx.sum()) < tx.sum()
+            assert est.p_tr_hat == tx.sum() / total
+            assert est.p_out_hat == outage.sum() / total
+            # placement-level half-widths from the spread inside each stratum
+            assert est.ci99_p_tr == pytest.approx(stratified_ci99(tx, n_slots), rel=1e-12)
+            assert est.ci99_p_out == pytest.approx(stratified_ci99(outage, n_slots), rel=1e-12)
+            assert est.ci99_throughput == cfg.tau * cfg.rate * est.ci99_p_out
 
     def test_throughput_identity(self):
         cfg = default_config()
@@ -256,6 +303,15 @@ class TestRunSweep:
             single = sim.run(cfg.with_tau(tau), 30, 120, seed=8, mode=mode)
             assert est == single  # every field, exactly
 
+    @pytest.mark.parametrize("mode", sim.MODES)
+    def test_equals_per_tau_runs_link_limited(self, mode):
+        # each tau draws only as many link gains as its own transmissions,
+        # and gets the same ones as inside the grid
+        cfg = link_limited_config()
+        sweep = sim.run_sweep(cfg, self.TAUS, 30, 120, seed=8, mode=mode)
+        for tau, est in zip(self.TAUS, sweep):
+            assert est == sim.run(cfg.with_tau(tau), 30, 120, seed=8, mode=mode)
+
     def test_run_is_the_one_tau_sweep(self):
         cfg = default_config(tau=0.3)
         assert sim.run(cfg, 20, 90, seed=4) == sim.run_sweep(cfg, [cfg.tau], 20, 90, seed=4)[0]
@@ -273,26 +329,47 @@ class TestGainStream:
     @pytest.mark.parametrize("antennas", [1, 16])
     def test_chunks_join_into_the_eager_draw(self, antennas, split):
         # L = 1 has 20 mixture components, L = 16 has 5
-        cfg = default_config(fading_pb_st=FadingParams(7.0, antennas, 20))
+        fading_params = FadingParams(7.0, antennas, 20)
+        cfg = default_config(fading_pb_st=fading_params, fading_st_sr=fading_params)
         n_placements, n_total, seed = 3, 1_100, 41
         edges = [*range(0, n_total, split or n_total), n_total]
         distances, uniform_states, gens = sim.placement_streams(cfg, n_placements, n_total, seed)
         chunks = sim._gain_chunks(cfg.fading_pb_st, uniform_states, gens, edges)
         joined = np.concatenate([gains.copy() for _, gains in chunks])
+        # the generators now stand at the link streams; read a different
+        # prefix of each
+        most = np.array([0, 1, n_total])
+        links = sim._link_successes(cfg, gens, n_total, most)
         streams = reference_streams(cfg, n_placements, n_total, seed)
-        for i, (d, gains_p, gains_s) in enumerate(streams):
+        for i, (successes, (d, gains_p, gains_s)) in enumerate(zip(links, streams)):
             assert distances[i] == d
             assert np.array_equal(joined[:, i], gains_p)
-            # the gamma reader now stands at the ST-SR draws
-            assert np.array_equal(fading.sample(cfg.fading_st_sr, gens[i], n_total), gains_s)
+            assert len(successes) > most[i]
+            expected = np.cumsum(snr_ok(cfg, gains_s[:len(successes) - 1]))
+            assert np.array_equal(successes, np.concatenate([[0], expected]))
+
+    def test_link_draw_is_prefix_stable(self):
+        cfg = link_limited_config()
+        n_placements, n_total = 4, 300
+
+        def successes(most):
+            _, states, gens = sim.placement_streams(cfg, n_placements, n_total, seed=5)
+            for _ in sim._gain_chunks(cfg.fading_pb_st, states, gens, [0, n_total]):
+                pass
+            return list(sim._link_successes(cfg, gens, n_total, np.array(most)))
+
+        longest = successes([n_total] * n_placements)
+        for most, short, long in zip([0, 3, 150, 299], successes([0, 3, 150, 299]), longest):
+            assert most < len(short) <= len(long)
+            assert np.array_equal(short, long[:len(short)])
 
     @pytest.mark.parametrize("mode", sim.MODES)
     @pytest.mark.parametrize(
         "n_taus, n_placements, n_slots", [(1, 50, 20_000), (19, 50, 2_000), (9, 500, 1_000)]
     )
     def test_traced_peak_memory(self, mode, n_taus, n_placements, n_slots):
-        # 17 bytes per placement-slot: two float64 gain arrays and a bool link mask
-        eager = 17 * n_placements * (sim.warmup_slots(n_slots) + n_slots)
+        # an eager draw of both gain streams holds two float64 per placement-slot
+        eager = 16 * n_placements * (sim.warmup_slots(n_slots) + n_slots)
         taus = [0.05 * (k + 1) for k in range(n_taus)]
         tracemalloc.start()
         try:
@@ -303,3 +380,72 @@ class TestGainStream:
         assert peak < eager
         if n_slots == 20_000:
             assert peak < eager / 4
+
+
+class TestStrata:
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 11])
+    def test_distances_lie_in_their_strata(self, n):
+        cfg = default_config()
+        distances, _, _ = sim.placement_streams(cfg, n, 10, seed=3)
+        u = (distances**2 - cfg.d_min**2) / (cfg.d_max**2 - cfg.d_min**2)
+        for i, u_i in enumerate(u):
+            start, size = stratum(i, n)
+            assert start / n - 1e-12 <= u_i <= (start + size) / n + 1e-12
+
+    @pytest.mark.parametrize(
+        "n, widths", [(2, [1.0]), (3, [1.0]), (5, [0.4, 0.6]), (8, [0.25] * 4)]
+    )
+    def test_stratum_widths(self, n, widths):
+        # stratum k spans n_k/n of the annulus CDF, its share of the placements,
+        # and the strata tile the placements in order
+        strata = sorted({sim._stratum(i, n) for i in range(n)})
+        assert [size / n for _, size in strata] == pytest.approx(widths)
+        assert [start for start, _ in strata] == [0, *np.cumsum([s for _, s in strata])[:-1]]
+        for i in range(n):
+            start, size = sim._stratum(i, n)
+            assert start <= i < start + size
+
+    def test_pair_difference_se(self):
+        # pairs (0.1, 0.3), (0.5, 0.4): var = ((0.1 - 0.3)^2 + (0.5 - 0.4)^2) / 4^2
+        assert sim._ci99(np.array([0.1, 0.3, 0.5, 0.4])) == pytest.approx(
+            sim._Z99 * math.sqrt(0.04 + 0.01) / 4, rel=1e-12
+        )
+        # a pair and a triple: the triple adds n_k * s_k^2 = 3 * 0.13 to n^2 var
+        assert sim._ci99(np.array([0.1, 0.3, 0.2, 0.4, 0.9])) == pytest.approx(
+            sim._Z99 * math.sqrt(0.04 + 3 * 0.13) / 5, rel=1e-12
+        )
+
+    def test_se_is_honest_across_seeds(self):
+        # the spread of p_out_hat over seeds fixed in advance, against the
+        # median reported standard error. With few pairs that error is
+        # right-skewed (a pair that straddles the transmit threshold's
+        # distance dominates it), so the median falls below its rms; fifty
+        # pairs keep the median near the rms.
+        cfg = default_config()
+        estimates = [sim.run(cfg, 100, 200, seed=seed) for seed in range(60)]
+        spread = np.std([est.p_out_hat for est in estimates], ddof=1)
+        reported = np.median([est.ci99_p_out for est in estimates]) / sim._Z99
+        assert 0.7 <= spread / reported <= 1.4
+
+    @pytest.mark.parametrize("mode", sim.MODES)
+    def test_link_success_rate_matches_survival(self, mode):
+        cfg = link_limited_config()
+        q = fading.survival(cfg.fading_st_sr, cfg.gamma_th / snr_scale(cfg))
+        est = sim.run(cfg, 200, 500, seed=12, mode=mode)
+        total = 200 * 500
+        tx = round(est.p_tr_hat * total)
+        ok = round((1.0 - est.p_out_hat) * total)
+        assert abs(ok / tx - q) <= 4.0 * math.sqrt(q * (1.0 - q) / tx)
+
+
+class TestSeed:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(SimConfigurationError):
+            sim.run(default_config(), 4, 10, seed=-1)
+
+    def test_seeds_are_not_reduced(self):
+        # seeds that agree modulo 2**63 (or 2**64) draw different placements
+        cfg = default_config()
+        base = sim.placement_streams(cfg, 4, 1, seed=2**63 - 1)[0]
+        for other in (2**64 + 2**63 - 1, 2**127 + 2**63 - 1):
+            assert not np.array_equal(base, sim.placement_streams(cfg, 4, 1, seed=other)[0])
