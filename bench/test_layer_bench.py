@@ -3,6 +3,8 @@
 Sizes:
 
 - ``fading.sample``: 1e6 draws of the default harvest link (20 components);
+- ``fading.component_index``: 2 048 uniforms, the simulator's chunk of
+  harvest slots, at L = 1 (20 components) and L = 16 (5 components);
 - ``fading.survival``: 1e5 points on [0, 10];
 - ``analysis.evaluate``: one point at the default configuration;
 - ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
@@ -11,9 +13,11 @@ Sizes:
 """
 
 import numpy as np
+import pytest
 
 from ehcr import analysis, cli, fading
 from ehcr.analysis import SystemConfig
+from ehcr.fading import FadingParams
 
 CFG = SystemConfig()
 SWEEP_TAUS = [0.05 * i for i in range(1, 20)]
@@ -24,6 +28,14 @@ ANALYTIC_GRID = "0.000501:0.998501:0.001"
 def test_fading_sample(benchmark):
     draws = benchmark(lambda: fading.sample(CFG.fading_pb_st, np.random.default_rng(1), 1_000_000))
     assert draws.shape == (1_000_000,)
+
+
+@pytest.mark.parametrize("antennas", [1, 16])
+def test_component_index(benchmark, antennas):
+    p = FadingParams(7.0, antennas, 20)
+    u = np.random.default_rng(1).random(2048)
+    j = benchmark(fading.component_index, p, u)
+    assert np.array_equal(j, p._weight_cdf.searchsorted(u, side="right"))
 
 
 def test_fading_survival(benchmark):

@@ -17,6 +17,10 @@ from scipy import special
 
 from .numerics import digamma_integer, log_gamma
 
+# buckets of the component lookup table; a power of two, so ``u * _TABLE_SIZE``
+# is exact and truncates to the bucket of ``u``
+_TABLE_SIZE = 1 << 12
+
 
 @dataclass(frozen=True)
 class FadingParams:
@@ -62,8 +66,21 @@ class FadingParams:
         return cdf
 
     @cached_property
-    def _shapes_arr(self) -> np.ndarray:
-        return np.asarray(self.shapes, dtype=np.int64)
+    def _component_table(self) -> np.ndarray:
+        # entry b is the component of every u in [b, b + 1) / _TABLE_SIZE, or -1
+        # where that bucket holds a step of the weight CDF; the end buckets are
+        # -1 too, since the clipped lookup sends every u outside [0, 1) there
+        cdf = self._weight_cdf
+        edges = np.arange(_TABLE_SIZE + 1) / _TABLE_SIZE
+        first = cdf.searchsorted(edges[:-1], side="right")
+        last = cdf.searchsorted(np.nextafter(edges[1:], 0.0), side="right")
+        table = np.where(first == last, first, -1)
+        table[[0, -1]] = -1
+        return table
+
+    @cached_property
+    def _shapes_float(self) -> np.ndarray:
+        return np.asarray(self.shapes, dtype=float)
 
     @cached_property
     def _tail_weights(self) -> np.ndarray:
@@ -91,16 +108,17 @@ class FadingParams:
 
 def _as_nonnegative_array(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("gain argument must be nonnegative")
+    # also false for NaN
+    if not np.all(arr >= 0.0):
+        raise ValueError("gain argument must be nonnegative, not NaN")
     return arr
 
 
 def pdf(p: FadingParams, x):
-    """Mixture density at x; accepts scalars or arrays."""
+    """Mixture density at x; accepts scalars or arrays. Zero at +inf."""
     arr = _as_nonnegative_array(x)
     out = np.zeros_like(arr)
-    pos = arr > 0.0
+    pos = (arr > 0.0) & (arr < math.inf)
     xv = arr[pos]
     for cj, mj in zip(p.weights, p.shapes):
         log_term = (
@@ -109,12 +127,12 @@ def pdf(p: FadingParams, x):
         out[pos] += cj * np.exp(log_term)
     if p.shapes[-1] == 1:
         # the unit-shape component is the only one with mass density at 0
-        out[~pos] = p.weights[-1] / p.omega
+        out[arr == 0.0] = p.weights[-1] / p.omega
     return out if np.ndim(x) else float(out)
 
 
 def survival(p: FadingParams, x):
-    """Complementary CDF at x; accepts scalars or arrays."""
+    """Complementary CDF at x; accepts scalars or arrays. Zero at +inf."""
     arr = _as_nonnegative_array(x)
     flat = np.atleast_1d(arr)
     t = flat / p.omega
@@ -128,12 +146,13 @@ def survival(p: FadingParams, x):
     )
     sf = (p._tail_weights[:, None] * terms).sum(axis=0)
     sf[t == 0.0] = 1.0  # exact, avoids the rounding of the summed weights
+    sf[t == math.inf] = 0.0  # the limit; the terms are inf - inf there
     sf = np.clip(sf, 0.0, 1.0).reshape(arr.shape)
     return sf if np.ndim(x) else float(sf)
 
 
 def cdf(p: FadingParams, x):
-    """Distribution function at x; accepts scalars or arrays."""
+    """Distribution function at x; accepts scalars or arrays. One at +inf."""
     return 1.0 - survival(p, x)
 
 
@@ -148,14 +167,38 @@ def component_index(p: FadingParams, u):
     The inverse of the normalised weight CDF, the rule by which
     ``Generator.choice(p=weights)`` maps its uniforms, so a stream's indices
     do not depend on whether its uniforms are read at once or in chunks.
+    It equals ``searchsorted(cdf, u, side="right")`` for every float64: an
+    array is looked up in ``_component_table``, and only the uniforms whose
+    bucket holds a step of the CDF, or that lie outside [0, 1), are searched.
     """
-    return p._weight_cdf.searchsorted(u, side="right")
+    cdf = p._weight_cdf
+    u = np.asarray(u, dtype=float)
+    if not u.ndim:
+        return cdf.searchsorted(u, side="right")
+    # the clip sends every u outside [0, 1) to an end bucket; NaN and inf cast
+    # with numpy's RuntimeWarning, to an index that the clip sends there too
+    j = p._component_table.take((u * _TABLE_SIZE).astype(np.intp), mode="clip")
+    miss = np.flatnonzero(j < 0)
+    if miss.size:
+        j.flat[miss] = cdf.searchsorted(u.flat[miss], side="right")
+    return j
+
+
+def component_gammas(p: FadingParams, gen: np.random.Generator, j):
+    """One gain per component index ``j``, drawn by the integer-shape gamma.
+
+    numpy's gamma draw is ``scale * standard_gamma(shape)``, so this is
+    ``gen.gamma(shape=shapes[j], scale=omega)`` bit for bit, without the
+    checks and broadcasting of the scale argument.
+    """
+    draws = gen.standard_gamma(p._shapes_float[j])
+    draws *= p.omega
+    return draws
 
 
 def sample(p: FadingParams, gen: np.random.Generator, size=None):
     """Draw gains by component choice followed by an integer-shape gamma."""
-    j = component_index(p, gen.random(size))
-    draws = gen.gamma(shape=p._shapes_arr[j], scale=p.omega, size=size)
+    draws = component_gammas(p, gen, component_index(p, gen.random(size)))
     return draws if size is not None else float(draws)
 
 

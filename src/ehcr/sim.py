@@ -39,14 +39,18 @@ way. Both gain streams are read from two positions: a copy of the PCG64
 state reads the uniforms, and the generator itself, advanced by ``n_total``
 (one 64-bit output per uniform), reads the gammas. The harvest gains are
 read in slot chunks of ``_CHUNK``, which join into exactly the eager draw,
-so gain memory is O(placements × chunk). The slot loop records, per (tau,
-placement), how many measured slots transmit. A slot's link gain matters
-only if it transmits, so the j-th measured transmission of a placement gets
-the j-th gain of its link stream, and only as many link gains are drawn as
-the placement's largest transmit count over the grid, rounded up to a
-multiple of ``_LINK_QUANTUM``. The link stream is
-read the same way whatever that count, so a tau's estimate does not depend
-on the rest of its grid. The success count of a (tau, placement) is the
+so gain memory is O(placements × chunk). A read maps its uniforms to
+mixture components through `fading.component_index`, a table lookup that
+equals ``Generator.choice``'s search of the weight CDF, and draws
+``standard_gamma(shape) * omega``, which is numpy's ``gamma(shape, omega)``
+bit for bit without its scale argument's checks. The slot loop records,
+per (tau, placement), how many measured slots transmit. A slot's link gain
+matters only if it transmits, so the j-th measured transmission of a
+placement gets the j-th gain of its link stream, and only as many link
+gains are drawn as the placement's largest transmit count over the grid,
+rounded up to a multiple of ``_LINK_QUANTUM``. The link stream is read the
+same way whatever that count, so a tau's estimate does not depend on the
+rest of its grid. The success count of a (tau, placement) is the
 placement's cumulative link-success count at its transmit count.
 """
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _read_gains(p, reader, state, gen, size):
     """
     reader.bit_generator.state = state
     j = fading.component_index(p, reader.random(size))
-    return gen.gamma(shape=p._shapes_arr[j], scale=p.omega), reader.bit_generator.state
+    return fading.component_gammas(p, gen, j), reader.bit_generator.state
 
 
 def _gain_chunks(p, uniform_states, gens, chunks):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ehcr import fading
@@ -15,6 +18,9 @@ LOG_MOMENT_MU1 = -0.15831501478279391
 LOG_MOMENT_MU16 = -0.026742120986334267
 
 DEFAULT_LINK = FadingParams(rician_k=7.0, mu=1, m=20)
+
+# laws beyond the paper's two: few and many components, a unit exponential
+OTHER_LAWS = [(0.5, 2, 11), (15.0, 1, 1), (3.3, 4, 30), (1e-3, 1, 30)]
 
 
 class TestConstruction:
@@ -101,6 +107,65 @@ class TestCdf:
             fading.cdf(DEFAULT_LINK, -1.0)
 
 
+class TestNonFiniteArgument:
+    @pytest.mark.parametrize("f", [fading.pdf, fading.survival, fading.cdf])
+    def test_nan_is_refused(self, f):
+        with pytest.raises(ValueError):
+            f(DEFAULT_LINK, math.nan)
+        with pytest.raises(ValueError):
+            f(DEFAULT_LINK, np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("f, limit", [(fading.pdf, 0.0), (fading.survival, 0.0), (fading.cdf, 1.0)])
+    @pytest.mark.parametrize("p", [DEFAULT_LINK, FadingParams(7.0, 16, 20), FadingParams(3.3, 1, 1)],
+                             ids=["k7-mu1-m20", "k7-mu16-m20", "k3.3-mu1-m1"])
+    def test_exact_limit_at_infinity(self, f, limit, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(p, math.inf) == limit
+            values = f(p, np.array([0.0, 1.0, math.inf]))
+        assert values[2] == limit
+        assert values[:2] == pytest.approx([f(p, 0.0), f(p, 1.0)], rel=1e-12)
+
+
+@st.composite
+def laws(draw):
+    m = draw(st.integers(1, 30))
+    return FadingParams(draw(st.floats(1e-3, 1e3)), draw(st.integers(1, m)), m)
+
+
+class TestComponentIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(p=laws(), drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    def test_equals_searchsorted_on_every_float(self, p, drawn):
+        cdf = p._weight_cdf
+        edges = np.arange(fading._TABLE_SIZE + 1) / fading._TABLE_SIZE
+        probes = np.concatenate([
+            edges, np.nextafter(edges, 0.0),
+            cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+            [-0.0, 5e-324], drawn,
+        ])
+        in_range = (probes >= 0.0) & (probes < 1.0)
+        inside = probes[in_range]
+        outside = np.concatenate([
+            probes[~in_range],
+            [1.0, 1.5, 1e300, -5e-324, -0.5, -1e300, math.inf, -math.inf, math.nan],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j = fading.component_index(p, inside)
+            square = inside[: len(inside) // 2 * 2].reshape(2, -1)
+            j_square = fading.component_index(p, square)
+        assert np.array_equal(j, cdf.searchsorted(inside, side="right"))
+        assert np.array_equal(j_square, cdf.searchsorted(square, side="right"))
+        with np.errstate(invalid="ignore"):
+            j = fading.component_index(p, outside)
+        assert np.array_equal(j, cdf.searchsorted(outside, side="right"))
+        for u in [*outside, *cdf, *np.nextafter(cdf, -1.0), *np.nextafter(cdf, 2.0), -0.0, 5e-324]:
+            assert fading.component_index(p, u) == cdf.searchsorted(u, side="right")
+        # each CDF value below 1 spoils at most one bucket, besides the two ends
+        assert np.count_nonzero(p._component_table < 0) <= p.n_mix + 2
+
+
 class TestLogMoment:
     def test_unit_exponential(self):
         assert fading.log_moment(FadingParams(9.9, 1, 1)) == pytest.approx(
@@ -147,12 +212,15 @@ class TestSample:
         result = stats.kstest(draws, lambda x: fading.cdf(DEFAULT_LINK, x))
         assert result.pvalue > 0.01
 
-    @pytest.mark.parametrize("antennas", [1, 16])
-    @pytest.mark.parametrize("size", [None, 1, 5_000])
-    def test_same_stream_as_choice_then_gamma(self, antennas, size):
+    @pytest.mark.parametrize("p", [
+        pytest.param(FadingParams(7.0, 1, 20), id="1"),
+        pytest.param(FadingParams(7.0, 16, 20), id="16"),
+        *(pytest.param(FadingParams(*law), id="k{}-mu{}-m{}".format(*law)) for law in OTHER_LAWS),
+    ])
+    @pytest.mark.parametrize("size", [None, 1, 5_000, (40, 30)])
+    def test_same_stream_as_choice_then_gamma(self, p, size):
         # the component rule is Generator.choice's: a stream read through
         # component_index gives what choice(p=weights) + gamma gave
-        p = FadingParams(7.0, antennas, 20)
         gen = np.random.default_rng(19)
         j = gen.choice(p.n_mix + 1, p=np.asarray(p.weights), size=size)
         expected = gen.gamma(shape=np.asarray(p.shapes)[j], scale=p.omega, size=size)

@@ -61,6 +61,12 @@ def stratum(i, n):
     return 2 * k, (n - 2 * k if k == n // 2 - 1 else 2)
 
 
+def eager_gains(p, gen, n):
+    """``n`` gains drawn as numpy's own mixture draw would: choice, then gamma."""
+    j = gen.choice(p.n_mix + 1, p=np.asarray(p.weights), size=n)
+    return gen.gamma(shape=np.asarray(p.shapes)[j], scale=p.omega)
+
+
 def reference_streams(cfg, n_placements, n_total, seed):
     """Each placement's eager draw: (distance, harvest gains, ST-SR link gains)."""
     for i in range(n_placements):
@@ -68,8 +74,8 @@ def reference_streams(cfg, n_placements, n_total, seed):
         start, size = stratum(i, n_placements)
         u = (start + size * gen.random()) / n_placements
         d = math.sqrt(cfg.d_min**2 + u * (cfg.d_max**2 - cfg.d_min**2))
-        gains_p = fading.sample(cfg.fading_pb_st, gen, size=n_total)
-        yield d, gains_p, fading.sample(cfg.fading_st_sr, gen, size=n_total)
+        gains_p = eager_gains(cfg.fading_pb_st, gen, n_total)
+        yield d, gains_p, eager_gains(cfg.fading_st_sr, gen, n_total)
 
 
 def snr_scale(cfg):
