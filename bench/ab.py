@@ -1,11 +1,11 @@
 """Same-session A/B of the bench/ cases: a base revision against this checkout.
 
-    python bench/ab.py [--base REV] [--pairs N] [-k EXPR]
+    python bench/ab.py [--base REV] [--pairs N]
 
 The base revision (default HEAD) is extracted with ``git archive`` into
 ``.bench_build/<commit>``; the change is this checkout's working tree. Each
 side runs ``python -m pytest bench --benchmark-json=...`` on its own source
-and bench files, N times (default 5), alternating which side goes first.
+and bench files, N times (default 10), alternating which side goes first.
 The JSON files go to ``.bench_build/ab/``. For each case the script prints
 each side's median of its per-run medians, the relative change, the
 interquartile range of the base's per-run medians, and the share of pairs
@@ -24,8 +24,6 @@ from delta import load
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BUILD = ROOT / ".bench_build"
-# pytest's exit code when -k selects no case on one side
-NO_TESTS_COLLECTED = 5
 
 
 def extract(rev):
@@ -45,16 +43,12 @@ def extract(rev):
     return target
 
 
-def run(checkout, out, select):
+def run(checkout, out):
     """One pytest-benchmark run of ``checkout``'s bench/ on its own ``src``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     argv = [sys.executable, "-m", "pytest", "bench", "-q", "-p", "no:cacheprovider",
             f"--benchmark-json={out}"]
-    if select:
-        argv += ["-k", select]
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode == NO_TESTS_COLLECTED:
-        return {}
     if done.returncode:
         raise SystemExit(f"bench run in {checkout} failed:\n{done.stdout}{done.stderr}")
     return {name: stats["median"] for name, stats in load(out).items()}
@@ -70,8 +64,7 @@ def iqr(values):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=5, help="runs per side")
-    parser.add_argument("-k", dest="select", help="pytest -k expression selecting cases")
+    parser.add_argument("--pairs", type=int, default=10, help="runs per side")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -82,7 +75,7 @@ def main(argv):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             out = BUILD / "ab" / f"{side}-{i}.json"
-            results[side].append(run(sides[side], out, args.select))
+            results[side].append(run(sides[side], out))
             print(f"pair {i + 1}/{args.pairs}: {side} done", file=sys.stderr)
     names = sorted(set().union(*results["base"], *results["change"]))
     for name in names:

@@ -3,8 +3,9 @@
 Sizes:
 
 - ``fading.sample``: 1e6 draws of the default harvest link (20 components);
-- ``fading.component_index``: 2 048 uniforms, the simulator's chunk of
-  harvest slots, at L = 1 (20 components) and L = 16 (5 components);
+- ``fading.component_index``: 2 048 fresh uniforms a call, drawing them
+  included, the simulator's chunk of harvest slots, at L = 1 (20
+  components) and L = 16 (5 components);
 - ``fading.survival``: 1e5 points on [0, 10];
 - ``analysis.evaluate``: one point at the default configuration;
 - ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
@@ -32,10 +33,14 @@ def test_fading_sample(benchmark):
 
 @pytest.mark.parametrize("antennas", [1, 16])
 def test_component_index(benchmark, antennas):
+    # fresh uniforms every call, as the chunk reader has them: on one reused
+    # array the branch predictor learns searchsorted's path and hides its cost
     p = FadingParams(7.0, antennas, 20)
-    u = np.random.default_rng(1).random(2048)
-    j = benchmark(fading.component_index, p, u)
-    assert np.array_equal(j, p._weight_cdf.searchsorted(u, side="right"))
+    gen = np.random.default_rng(1)
+    j = benchmark(lambda: fading.component_index(p, gen.random(2048)))
+    assert j.shape == (2048,)
+    u = gen.random(2048)
+    assert np.array_equal(fading.component_index(p, u), p._weight_cdf.searchsorted(u, side="right"))
 
 
 def test_fading_survival(benchmark):
