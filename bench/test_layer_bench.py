@@ -6,11 +6,13 @@ Sizes:
 - ``fading.component_index``: 2 048 fresh uniforms a call, drawing them
   included, the simulator's chunk of harvest slots, at L = 1 (20
   components) and L = 16 (5 components);
-- ``fading.survival``: 1e5 points on [0, 10];
+- ``fading.survival``: 1e5 points on [0, 10], and one scalar;
+- ``fading.pdf``: one scalar (as quadrature calls it), and 3 072 points;
 - ``analysis.evaluate``: one point at the default configuration;
 - ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
   perfbench's analytic-grid workload at seed 1;
-- ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout.
+- ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout;
+- ``ehcr validate`` through ``cli.main`` at the default configuration.
 """
 
 import numpy as np
@@ -49,6 +51,22 @@ def test_fading_survival(benchmark):
     assert sf[0] == 1.0 and sf[-1] < 1e-6
 
 
+def test_fading_survival_scalar(benchmark):
+    sf = benchmark(fading.survival, CFG.fading_pb_st, 1.3)
+    assert 0.0 < sf < 1.0
+
+
+def test_fading_pdf_scalar(benchmark):
+    density = benchmark(fading.pdf, CFG.fading_pb_st, 1.3)
+    assert density > 0.0
+
+
+def test_fading_pdf_array(benchmark):
+    points = np.linspace(0.0, 10.0, 3072)
+    density = benchmark(fading.pdf, CFG.fading_pb_st, points)
+    assert density.shape == (3072,) and density[-1] < 1e-6
+
+
 def test_evaluate(benchmark):
     point = benchmark(analysis.evaluate, CFG)
     assert 0.0 < point.p_out < 1.0
@@ -68,6 +86,15 @@ def test_sweep_analytic_grid(benchmark):
 def test_cli_analyze_end_to_end(benchmark, capsys):
     def job():
         code = cli.main(["analyze", "--tau-grid", ANALYTIC_GRID])
+        capsys.readouterr()
+        return code
+
+    assert benchmark(job) == 0
+
+
+def test_cli_validate_end_to_end(benchmark, capsys):
+    def job():
+        code = cli.main(["validate"])
         capsys.readouterr()
         return code
 

@@ -15,11 +15,13 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .numerics import digamma_integer, log_gamma
+from .numerics import digamma_integer
 
 # buckets of the component lookup table; a power of two, so ``u * _TABLE_SIZE``
 # is exact and truncates to the bucket of ``u``
 _TABLE_SIZE = 1 << 12
+# points per pass of the Poisson-sum kernel; its buffer is (rows x _SUM_CHUNK)
+_SUM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,20 @@ class FadingParams:
         return w
 
     @cached_property
+    def _survival_rows(self) -> tuple:
+        # survival = sum over r = 0..m-1 of tail weight w[r] times the Poisson
+        # term t^r e^-t / r!
+        r = np.arange(self.m, dtype=float)
+        return _rows(r, self._tail_weights)
+
+    @cached_property
+    def _pdf_rows(self) -> tuple:
+        # component j of shape s has density t^(s-1) e^-t / ((s-1)! omega), so
+        # its row is r = s - 1, from mu - 1 to m - 1
+        r = np.arange(self.mu - 1, self.m, dtype=float)
+        return _rows(r, np.asarray(self.weights[::-1]) / self.omega)
+
+    @cached_property
     def _log_moment(self) -> float:
         return math.fsum(cj * (digamma_integer(mj) + math.log(self.omega))
                          for cj, mj in zip(self.weights, self.shapes))
@@ -114,37 +130,63 @@ def _as_nonnegative_array(x):
     return arr
 
 
+def _rows(r, weights):
+    """Column vectors (r, log r!, w_r) of one Poisson sum, for `_poisson_sum`."""
+    return r[:, None], special.gammaln(r + 1.0)[:, None], weights[:, None]
+
+
+def _chunk_edges(n):
+    edges = list(range(0, n, _SUM_CHUNK)) + [n]
+    # numpy sums one column by pairwise summation and wider blocks row by
+    # row, so a lone last point is given a neighbour: every point is then
+    # reduced as it would be in one pass over the whole array
+    if n > 1 and edges[-1] - edges[-2] == 1:
+        edges[-2] -= 1
+    return edges
+
+
+def _poisson_sum(t, rows):
+    """``sum_r w_r exp(r log t - log r! - t)`` at each point of the 1-D array ``t``.
+
+    Works through ``t`` in chunks of ``_SUM_CHUNK`` points in one buffer of
+    (rows x chunk). Points at t = 0 and t = +inf come out NaN or arbitrary;
+    the callers overwrite them with their exact limits.
+    """
+    r, log_fact, weights = rows
+    n = t.size
+    out = np.empty(n)
+    buf = np.empty((len(r), min(n, _SUM_CHUNK)))
+    log_t = np.empty(buf.shape[1])
+    edges = _chunk_edges(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            tc, lt, b = t[lo:hi], log_t[:hi - lo], buf[:, :hi - lo]
+            np.log(tc, out=lt)
+            np.multiply(r, lt, out=b)
+            b -= log_fact
+            b -= tc
+            np.exp(b, out=b)
+            b *= weights
+            b.sum(axis=0, out=out[lo:hi])
+    return out
+
+
 def pdf(p: FadingParams, x):
     """Mixture density at x; accepts scalars or arrays. Zero at +inf."""
     arr = _as_nonnegative_array(x)
-    out = np.zeros_like(arr)
-    pos = (arr > 0.0) & (arr < math.inf)
-    xv = arr[pos]
-    for cj, mj in zip(p.weights, p.shapes):
-        log_term = (
-            (mj - 1) * np.log(xv) - xv / p.omega - mj * math.log(p.omega) - log_gamma(mj)
-        )
-        out[pos] += cj * np.exp(log_term)
-    if p.shapes[-1] == 1:
-        # the unit-shape component is the only one with mass density at 0
-        out[arr == 0.0] = p.weights[-1] / p.omega
-    return out if np.ndim(x) else float(out)
+    t = arr.ravel() / p.omega
+    out = _poisson_sum(t, p._pdf_rows)
+    # the unit-shape component is the only one with mass density at 0
+    out[t == 0.0] = p.weights[-1] / p.omega if p.shapes[-1] == 1 else 0.0
+    out[t == math.inf] = 0.0
+    return out.reshape(arr.shape) if np.ndim(x) else float(out[0])
 
 
 def survival(p: FadingParams, x):
     """Complementary CDF at x; accepts scalars or arrays. Zero at +inf."""
     arr = _as_nonnegative_array(x)
-    flat = np.atleast_1d(arr)
-    t = flat / p.omega
-    r = np.arange(p.m, dtype=float)
-    log_fact = special.gammaln(r + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_terms = r[:, None] * np.log(t[None, :]) - log_fact[:, None] - t[None, :]
-    # at t = 0 only the r = 0 term survives (it equals 1)
-    terms = np.where(
-        t[None, :] == 0.0, (r[:, None] == 0.0).astype(float), np.exp(log_terms)
-    )
-    sf = (p._tail_weights[:, None] * terms).sum(axis=0)
+    t = arr.ravel() / p.omega
+    sf = _poisson_sum(t, p._survival_rows)
     sf[t == 0.0] = 1.0  # exact, avoids the rounding of the summed weights
     sf[t == math.inf] = 0.0  # the limit; the terms are inf - inf there
     sf = np.clip(sf, 0.0, 1.0).reshape(arr.shape)

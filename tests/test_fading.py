@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from ehcr import fading
 from ehcr.fading import FadingParams
@@ -21,6 +21,12 @@ DEFAULT_LINK = FadingParams(rician_k=7.0, mu=1, m=20)
 
 # laws beyond the paper's two: few and many components, a unit exponential
 OTHER_LAWS = [(0.5, 2, 11), (15.0, 1, 1), (3.3, 4, 30), (1e-3, 1, 30)]
+
+
+@st.composite
+def laws(draw):
+    m = draw(st.integers(1, 30))
+    return FadingParams(draw(st.floats(1e-3, 1e3)), draw(st.integers(1, m)), m)
 
 
 class TestConstruction:
@@ -71,6 +77,114 @@ class TestPdf:
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             fading.pdf(DEFAULT_LINK, -0.1)
+
+
+# the smallest positive normal float; below it a float keeps fewer digits
+TINY = np.finfo(float).tiny
+
+
+def reference_pdf(p, x):
+    """The mixture density summed component by component with math.lgamma."""
+    if x == 0.0:
+        return p.weights[-1] / p.omega if p.shapes[-1] == 1 else 0.0
+    return math.fsum(
+        cj * math.exp((mj - 1) * math.log(x) - x / p.omega - mj * math.log(p.omega) - math.lgamma(mj))
+        for cj, mj in zip(p.weights, p.shapes)
+    )
+
+
+def assert_matches_reference_pdf(p, xs, values):
+    for x, value in zip(xs, values):
+        ref = reference_pdf(p, x)
+        if ref < TINY:
+            # a subnormal reference has lost its relative precision
+            assert value < TINY, (x, value, ref)
+        else:
+            assert value == pytest.approx(ref, rel=1e-12), x
+
+
+class TestPdfAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=laws(),
+        xs=st.lists(
+            st.one_of(st.floats(0.0, 60.0), st.floats(0.0, 1e3), st.sampled_from([0.0, 5e-324, 1e-300])),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_per_component_lgamma_reference(self, p, xs):
+        assert_matches_reference_pdf(p, xs, [fading.pdf(p, x) for x in xs])
+        assert_matches_reference_pdf(p, xs, fading.pdf(p, np.array(xs)))
+
+    def test_array_across_chunks(self):
+        # a chunk edge, and a lone point after it that needs its own handling
+        xs = np.linspace(0.0, 30.0, 2 * fading._SUM_CHUNK + 1)
+        for p in (DEFAULT_LINK, FadingParams(7.0, 16, 20), FadingParams(3.0, 2, 5)):
+            values = fading.pdf(p, xs)
+            assert_matches_reference_pdf(p, xs, values)
+            assert np.array_equal(fading.pdf(p, xs.reshape(-1, 1)).ravel(), values)
+
+
+def frozen_survival(p, x):
+    """``survival``'s one-pass formula before the chunked kernel, point for point.
+
+    Kept as it was, except that it flattens a 2-D argument first (the
+    one-pass form broadcast a 2-D argument against its rows and failed).
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(arr).ravel()
+    t = flat / p.omega
+    r = np.arange(p.m, dtype=float)
+    log_fact = special.gammaln(r + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = r[:, None] * np.log(t[None, :]) - log_fact[:, None] - t[None, :]
+    terms = np.where(
+        t[None, :] == 0.0, (r[:, None] == 0.0).astype(float), np.exp(log_terms)
+    )
+    sf = (p._tail_weights[:, None] * terms).sum(axis=0)
+    sf[t == 0.0] = 1.0
+    sf[t == math.inf] = 0.0
+    sf = np.clip(sf, 0.0, 1.0).reshape(arr.shape)
+    return sf if np.ndim(x) else float(sf)
+
+
+BIT_IDENTITY_LAWS = [(7.0, 1, 20), (7.0, 16, 20), (1.0, 1, 1), (3.0, 2, 5), (7.0, 20, 20), (0.5, 1, 40)]
+EXTREME_POINTS = [0.0, 5e-324, 1e-300, 700.0, 800.0, 1e308, math.inf]
+
+
+class TestSurvivalBitIdentity:
+    """The chunked kernel gives the one-pass formula's survival and cdf bit for bit."""
+
+    @pytest.fixture(params=BIT_IDENTITY_LAWS, ids=lambda law: "k{}-mu{}-m{}".format(*law))
+    def p(self, request):
+        return FadingParams(*request.param)
+
+    @staticmethod
+    def assert_identical(p, x):
+        with np.errstate(over="ignore"):  # 1e308 / omega overflows to inf
+            expected = frozen_survival(p, x)
+            assert np.array_equal(fading.survival(p, x), expected)
+            assert np.array_equal(fading.cdf(p, x), 1.0 - expected)
+
+    def test_scalars(self, p):
+        for x in [*EXTREME_POINTS, 0.1, 1.0, 3.7, 25.0]:
+            self.assert_identical(p, x)
+            self.assert_identical(p, np.float64(x))
+
+    @pytest.mark.parametrize("size", [1, fading._SUM_CHUNK - 1, fading._SUM_CHUNK,
+                                      fading._SUM_CHUNK + 1, 3 * fading._SUM_CHUNK + 5])
+    def test_arrays_around_the_chunk_size(self, p, size):
+        xs = np.random.default_rng(size).exponential(2.0, size)
+        if size >= len(EXTREME_POINTS):
+            xs[:: size // len(EXTREME_POINTS)][: len(EXTREME_POINTS)] = EXTREME_POINTS
+        self.assert_identical(p, xs)
+
+    def test_zero_and_two_dimensional(self, p):
+        xs = np.array([*EXTREME_POINTS, 0.1, 1.0, 3.7, 25.0, 0.6])
+        self.assert_identical(p, np.array(1.0))
+        self.assert_identical(p, xs.reshape(3, 4))
+        self.assert_identical(p, xs.reshape(12, 1))
+        self.assert_identical(p, xs[-1:].reshape(1, 1))
 
 
 class TestCdf:
@@ -125,12 +239,6 @@ class TestNonFiniteArgument:
             values = f(p, np.array([0.0, 1.0, math.inf]))
         assert values[2] == limit
         assert values[:2] == pytest.approx([f(p, 0.0), f(p, 1.0)], rel=1e-12)
-
-
-@st.composite
-def laws(draw):
-    m = draw(st.integers(1, 30))
-    return FadingParams(draw(st.floats(1e-3, 1e3)), draw(st.integers(1, m)), m)
 
 
 class TestComponentIndex:
