@@ -12,8 +12,15 @@ Sizes:
 - ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
   perfbench's analytic-grid workload at seed 1;
 - ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout;
-- ``ehcr validate`` through ``cli.main`` at the default configuration.
+- ``ehcr validate`` through ``cli.main`` at the default configuration;
+- ``import ehcr.cli`` in a fresh interpreter, start-up of the interpreter
+  included, once per round.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,5 +104,14 @@ def test_cli_validate_end_to_end(benchmark, capsys):
         code = cli.main(["validate"])
         capsys.readouterr()
         return code
+
+    assert benchmark(job) == 0
+
+
+def test_cold_import_cli(benchmark):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+
+    def job():
+        return subprocess.run([sys.executable, "-c", "import ehcr.cli"], env=env).returncode
 
     assert benchmark(job) == 0

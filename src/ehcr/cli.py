@@ -16,7 +16,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import stats
 
 from . import analysis, fading, numerics, sim
 from .analysis import SystemConfig
@@ -313,6 +312,9 @@ def _suite_fading_normalization(cfg, fault):
 
 
 def _suite_fading_sampler(cfg, _fault):
+    # imported here, so that analyze, simulate and range load no scipy.stats
+    from scipy import stats
+
     problems = []
     gen = np.random.default_rng(20260824)
     for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):

@@ -124,8 +124,10 @@ class FadingParams:
 
 def _as_nonnegative_array(x):
     arr = np.asarray(x, dtype=float)
-    # also false for NaN
-    if not np.all(arr >= 0.0):
+    # also false for NaN; a 0-d comparison is a numpy bool, whose truth value
+    # costs far less than a reduction
+    nonnegative = arr >= 0.0
+    if not (nonnegative.all() if arr.ndim else nonnegative):
         raise ValueError("gain argument must be nonnegative, not NaN")
     return arr
 
@@ -145,20 +147,23 @@ def _chunk_edges(n):
     return edges
 
 
-def _poisson_sum(t, rows):
-    """``sum_r w_r exp(r log t - log r! - t)`` at each point of the 1-D array ``t``.
+def _poisson_sum(arr, omega, rows):
+    """The points ``t = arr / omega``, flattened, and at each of them
+    ``sum_r w_r exp(r log t - log r! - t)``.
 
     Works through ``t`` in chunks of ``_SUM_CHUNK`` points in one buffer of
     (rows x chunk). Points at t = 0 and t = +inf come out NaN or arbitrary;
-    the callers overwrite them with their exact limits.
+    the callers overwrite them with their exact limits. A finite point whose
+    ``t`` overflows is one at t = +inf, where its limit is exact.
     """
     r, log_fact, weights = rows
-    n = t.size
+    n = arr.size
     out = np.empty(n)
     buf = np.empty((len(r), min(n, _SUM_CHUNK)))
     log_t = np.empty(buf.shape[1])
     edges = _chunk_edges(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = arr.ravel() / omega
         for lo, hi in zip(edges, edges[1:]):
             tc, lt, b = t[lo:hi], log_t[:hi - lo], buf[:, :hi - lo]
             np.log(tc, out=lt)
@@ -168,14 +173,13 @@ def _poisson_sum(t, rows):
             np.exp(b, out=b)
             b *= weights
             b.sum(axis=0, out=out[lo:hi])
-    return out
+    return t, out
 
 
 def pdf(p: FadingParams, x):
     """Mixture density at x; accepts scalars or arrays. Zero at +inf."""
     arr = _as_nonnegative_array(x)
-    t = arr.ravel() / p.omega
-    out = _poisson_sum(t, p._pdf_rows)
+    t, out = _poisson_sum(arr, p.omega, p._pdf_rows)
     # the unit-shape component is the only one with mass density at 0
     out[t == 0.0] = p.weights[-1] / p.omega if p.shapes[-1] == 1 else 0.0
     out[t == math.inf] = 0.0
@@ -185,8 +189,7 @@ def pdf(p: FadingParams, x):
 def survival(p: FadingParams, x):
     """Complementary CDF at x; accepts scalars or arrays. Zero at +inf."""
     arr = _as_nonnegative_array(x)
-    t = arr.ravel() / p.omega
-    sf = _poisson_sum(t, p._survival_rows)
+    t, sf = _poisson_sum(arr, p.omega, p._survival_rows)
     sf[t == 0.0] = 1.0  # exact, avoids the rounding of the summed weights
     sf[t == math.inf] = 0.0  # the limit; the terms are inf - inf there
     sf = np.clip(sf, 0.0, 1.0).reshape(arr.shape)

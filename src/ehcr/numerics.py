@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, special
+from scipy import special
 
 # Euler-Mascheroni constant, 20 significant digits.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -69,6 +69,10 @@ def integrate_adaptive(f, a: float, b: float, acc: AccuracySpec = AccuracySpec()
         raise ValueError(f"requires a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
+    # imported here: scipy.integrate loads optimize, linalg and sparse, which
+    # only the validation suites need
+    from scipy import integrate
+
     value, _abserr, info, *rest = integrate.quad(
         f,
         a,

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -276,3 +280,61 @@ class TestMain:
         assert cli.main([*argv, "--out", str(out_a)]) == 0
         assert cli.main([*argv, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.stats", "scipy.integrate")}
+
+from ehcr import analysis, cli, numerics
+result = {"after_import": loaded(), "exit_codes": {}}
+for name, argv in (
+    ("range", ["range"]),
+    ("analyze", ["analyze", "--tau-grid", "0.2:0.8:0.3"]),
+    ("simulate", ["simulate", "--tau-grid", "0.2:0.8:0.3", "--placements", "4", "--slots", "10"]),
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        result["exit_codes"][name] = cli.main(argv)
+    result[name] = out.getvalue()
+result["after_commands"] = loaded()
+result["integral"] = numerics.integrate_adaptive(lambda x: x * x, 0.0, 3.0)
+result["after_integrate"] = loaded()
+result["sampler_problems"] = cli._suite_fading_sampler(analysis.SystemConfig(), 1.0)
+result["after_sampler"] = loaded()
+print(json.dumps(result))
+"""
+
+
+class TestColdStart:
+    """analyze, simulate and range load neither scipy.stats nor scipy.integrate;
+    the validation code that needs them imports them on first use."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_import_loads_neither(self, result):
+        assert result["after_import"] == {"scipy.stats": False, "scipy.integrate": False}
+
+    def test_commands_load_neither(self, result):
+        assert result["exit_codes"] == {"range": 0, "analyze": 0, "simulate": 0}
+        assert float(result["range"]) == pytest.approx(3.0451579810112697, rel=1e-9)
+        assert len(rows_from_csv(result["analyze"])) == 3
+        assert len(rows_from_csv(result["simulate"])) == 3
+        assert result["after_commands"] == {"scipy.stats": False, "scipy.integrate": False}
+
+    def test_quadrature_loads_integrate(self, result):
+        assert result["integral"] == pytest.approx(9.0, rel=1e-12)
+        assert result["after_integrate"] == {"scipy.stats": False, "scipy.integrate": True}
+
+    def test_sampler_suite_loads_stats(self, result):
+        assert result["sampler_problems"] == []
+        assert result["after_sampler"]["scipy.stats"] is True

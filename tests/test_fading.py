@@ -161,10 +161,10 @@ class TestSurvivalBitIdentity:
 
     @staticmethod
     def assert_identical(p, x):
-        with np.errstate(over="ignore"):  # 1e308 / omega overflows to inf
+        with np.errstate(over="ignore"):  # the frozen copy's 1e308 / omega overflows to inf
             expected = frozen_survival(p, x)
-            assert np.array_equal(fading.survival(p, x), expected)
-            assert np.array_equal(fading.cdf(p, x), 1.0 - expected)
+        assert np.array_equal(fading.survival(p, x), expected)
+        assert np.array_equal(fading.cdf(p, x), 1.0 - expected)
 
     def test_scalars(self, p):
         for x in [*EXTREME_POINTS, 0.1, 1.0, 3.7, 25.0]:
@@ -229,6 +229,13 @@ class TestNonFiniteArgument:
         with pytest.raises(ValueError):
             f(DEFAULT_LINK, np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("f", [fading.pdf, fading.survival, fading.cdf])
+    @pytest.mark.parametrize("x", [-5e-324, np.float64(-1.0), np.array(-1.0), np.array([0.5, -1.0]),
+                                   np.array([[0.5], [-0.5]])], ids=["scalar", "float64", "0-d", "1-d", "2-d"])
+    def test_negative_is_refused(self, f, x):
+        with pytest.raises(ValueError):
+            f(DEFAULT_LINK, x)
+
     @pytest.mark.parametrize("f, limit", [(fading.pdf, 0.0), (fading.survival, 0.0), (fading.cdf, 1.0)])
     @pytest.mark.parametrize("p", [DEFAULT_LINK, FadingParams(7.0, 16, 20), FadingParams(3.3, 1, 1)],
                              ids=["k7-mu1-m20", "k7-mu16-m20", "k3.3-mu1-m1"])
@@ -239,6 +246,19 @@ class TestNonFiniteArgument:
             values = f(p, np.array([0.0, 1.0, math.inf]))
         assert values[2] == limit
         assert values[:2] == pytest.approx([f(p, 0.0), f(p, 1.0)], rel=1e-12)
+
+    @pytest.mark.parametrize("f, limit", [(fading.pdf, 0.0), (fading.survival, 0.0), (fading.cdf, 1.0)])
+    @pytest.mark.parametrize("p", [DEFAULT_LINK, FadingParams(7.0, 16, 20), FadingParams(3.3, 1, 1)],
+                             ids=["k7-mu1-m20", "k7-mu16-m20", "k3.3-mu1-m1"])
+    @pytest.mark.parametrize("x", [1e308, np.finfo(float).max], ids=["1e308", "max"])
+    def test_huge_finite_argument_without_warning(self, f, limit, p, x):
+        # x / omega overflows to inf for omega < 1; the limit there is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(p, x) == limit
+            values = f(p, np.array([x, 1.0, x]))
+        assert values[0] == values[2] == limit
+        assert values[1] == pytest.approx(f(p, 1.0), rel=1e-12)
 
 
 class TestComponentIndex:
