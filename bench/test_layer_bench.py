@@ -13,6 +13,9 @@ Sizes:
   perfbench's analytic-grid workload at seed 1;
 - ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout;
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
+- validate's ``sim-model-agreement`` suite (both simulator modes at
+  500 placements × 500 slots) and ``jensen-bounds`` suite (1e6 samples of
+  each link) at the default configuration;
 - ``import ehcr.cli`` in a fresh interpreter, start-up of the interpreter
   included, once per round.
 """
@@ -115,3 +118,12 @@ def test_cold_import_cli(benchmark):
         return subprocess.run([sys.executable, "-c", "import ehcr.cli"], env=env).returncode
 
     assert benchmark(job) == 0
+
+
+def test_suite_sim_model_agreement(benchmark):
+    notes = benchmark(cli._suite_sim_model_agreement, CFG, 1.0)
+    assert len(notes) == 1 and notes[0].startswith("INFO")
+
+
+def test_suite_jensen_bounds(benchmark):
+    assert benchmark(cli._suite_jensen_bounds, CFG, 1.0) == []

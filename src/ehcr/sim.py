@@ -22,6 +22,11 @@ the streams depend only on the seed and the placement index, so every tau
 sees the same placements and fades, and each tau's estimate is exactly what
 ``run`` gives for that tau alone. ``run`` is the one-tau case.
 
+The two modes share one draw as well: ``_sweep_modes`` feeds each harvest
+chunk to every requested mode's counter and reads each link stream once,
+and each mode's estimates are exactly those of its own ``run_sweep``.
+``run_sweep`` is its one-mode view.
+
 Placements are stratified over the annulus CDF: they pair up, the last
 stratum holding three when their number is odd, and stratum ``k`` covers
 the slice ``[s_k, s_k + n_k) / n`` of the CDF, where ``s_k`` is its first
@@ -47,10 +52,10 @@ bit for bit without its scale argument's checks. The slot loop records,
 per (tau, placement), how many measured slots transmit. A slot's link gain
 matters only if it transmits, so the j-th measured transmission of a
 placement gets the j-th gain of its link stream, and only as many link
-gains are drawn as the placement's largest transmit count over the grid,
-rounded up to a multiple of ``_LINK_QUANTUM``. The link stream is read the
-same way whatever that count, so a tau's estimate does not depend on the
-rest of its grid. The success count of a (tau, placement) is the
+gains are drawn as the placement's largest transmit count over the grid
+and the modes, rounded up to a multiple of ``_LINK_QUANTUM``. The link
+stream is read the same way whatever that count, so a tau's estimate does
+not depend on the rest of its grid, nor on the other mode. The success count of a (tau, placement) is the
 placement's cumulative link-success count at its transmit count.
 """
 from __future__ import annotations
@@ -234,12 +239,13 @@ def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
 
 
 def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
-    """Add to ``tx`` the measured slots where the memoryless slot-renewal model transmits.
+    """Pass ``chunks`` on; add to ``tx`` the measured slots where the slot-renewal model transmits.
 
     The previous slot's harvest alone (plus the fixed post-transmission
     leftover) decides transmission, against the closed form's branch
     threshold at the placement's distance. No state links the slots, so
-    every measured slot of a chunk is judged at once.
+    every measured slot of a chunk is judged at once, before the chunk is
+    yielded unchanged to whatever else counts on it.
     """
     d_star = analysis._d_star(cfg, taus)
     (inside, *_), (outside, *_) = analysis._branches(cfg, taus, d_star)
@@ -249,6 +255,7 @@ def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
         measured = gains[max(warmup - lo, 0):]
         for k, row in enumerate(threshold):
             tx[k] += (measured >= row).sum(axis=0)
+        yield lo, gains
 
 
 def _link_successes(cfg, gens, n_total, most):
@@ -293,47 +300,9 @@ def _ci99(fractions: np.ndarray) -> float:
     return _Z99 * math.sqrt(total) / n
 
 
-def run_sweep(
-    cfg: SystemConfig,
-    taus,
-    n_placements: int,
-    n_slots: int,
-    seed: int,
-    mode: str = "buffer",
-) -> list:
-    """One `SimEstimate` per tau, all from one draw of the gain streams.
-
-    The streams depend only on the seed and the placement index, so every
-    tau sees the same placements and fades (common random numbers). Each
-    estimate equals ``run(cfg.with_tau(tau), ...)`` exactly.
-    """
-    if n_placements < 2 or n_slots < 1:
-        raise SimConfigurationError(
-            f"n_placements must be >= 2 and n_slots >= 1, got {n_placements}, {n_slots}"
-        )
-    if mode not in MODES:
-        raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    if int(seed) < 0:
-        raise SimConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    taus = analysis._checked_taus(cfg, taus)
-    if not len(taus):
-        raise SimConfigurationError("taus must not be empty")
-
-    warmup = warmup_slots(n_slots)
-    n_total = warmup + n_slots
-    distances, uniform_states, gens = placement_streams(cfg, n_placements, n_total, seed)
-    # measured slots that transmit, per (tau, placement)
-    tx = np.zeros((len(taus), n_placements), dtype=np.int64)
-    chunks = _gain_chunks(cfg.fading_pb_st, uniform_states, gens, _slot_edges(n_total, _CHUNK))
-    if mode == "buffer":
-        _buffer_counts(cfg, taus, distances, chunks, _slot_edges(n_total, _BLOCK), warmup, tx)
-    else:
-        _renewal_counts(cfg, taus, distances, chunks, warmup, tx)
-    del chunks  # frees the chunk buffer before the link draws
-    ok = np.empty_like(tx)
-    for i, successes in enumerate(_link_successes(cfg, gens, n_total, tx.max(axis=0))):
-        ok[:, i] = successes[tx[:, i]]
-
+def _estimates(cfg, taus, tx, ok, n_slots, seed):
+    """One `SimEstimate` per tau from the (tau, placement) transmit and success counts."""
+    n_placements = tx.shape[1]
     total = n_placements * n_slots
     estimates = []
     for tau, tx_k, ok_k in zip(taus.tolist(), tx, ok):
@@ -351,6 +320,71 @@ def run_sweep(
             seed=int(seed),
         ))
     return estimates
+
+
+def _sweep_modes(cfg: SystemConfig, taus, n_placements: int, n_slots: int, seed: int, modes):
+    """``{mode: run_sweep(..., mode)}`` for each of ``modes``, from one draw of the streams.
+
+    Each harvest chunk is drawn once and counted by every mode before the
+    next is drawn; the renewal counter passes the chunks on to the buffer's.
+    Each link stream is read once, as far as the largest transmit count
+    over all modes, and link reads are prefix-stable, so every mode's
+    estimates equal those of its own `run_sweep` exactly.
+    """
+    if n_placements < 2 or n_slots < 1:
+        raise SimConfigurationError(
+            f"n_placements must be >= 2 and n_slots >= 1, got {n_placements}, {n_slots}"
+        )
+    if not modes:
+        raise SimConfigurationError("modes must not be empty")
+    for mode in modes:
+        if mode not in MODES:
+            raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    if int(seed) < 0:
+        raise SimConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    taus = analysis._checked_taus(cfg, taus)
+    if not len(taus):
+        raise SimConfigurationError("taus must not be empty")
+
+    warmup = warmup_slots(n_slots)
+    n_total = warmup + n_slots
+    distances, uniform_states, gens = placement_streams(cfg, n_placements, n_total, seed)
+    # measured slots that transmit, per mode and (tau, placement)
+    tx = {mode: np.zeros((len(taus), n_placements), dtype=np.int64) for mode in modes}
+    chunks = _gain_chunks(cfg.fading_pb_st, uniform_states, gens, _slot_edges(n_total, _CHUNK))
+    if "slot-renewal" in tx:
+        chunks = _renewal_counts(cfg, taus, distances, chunks, warmup, tx["slot-renewal"])
+    if "buffer" in tx:
+        _buffer_counts(cfg, taus, distances, chunks, _slot_edges(n_total, _BLOCK), warmup,
+                       tx["buffer"])
+    # run the chunks to their end: this drives the renewal counter when no buffer
+    # counter pulls them, and the finished generators free the chunk buffer
+    for _ in chunks:
+        pass
+    most = np.max([counts.max(axis=0) for counts in tx.values()], axis=0)
+    ok = {mode: np.empty_like(counts) for mode, counts in tx.items()}
+    for i, successes in enumerate(_link_successes(cfg, gens, n_total, most)):
+        for mode, counts in tx.items():
+            ok[mode][:, i] = successes[counts[:, i]]
+    return {mode: _estimates(cfg, taus, tx[mode], ok[mode], n_slots, seed) for mode in tx}
+
+
+def run_sweep(
+    cfg: SystemConfig,
+    taus,
+    n_placements: int,
+    n_slots: int,
+    seed: int,
+    mode: str = "buffer",
+) -> list:
+    """One `SimEstimate` per tau, all from one draw of the gain streams.
+
+    The streams depend only on the seed and the placement index, so every
+    tau sees the same placements and fades (common random numbers). Each
+    estimate equals ``run(cfg.with_tau(tau), ...)`` exactly. The one-mode
+    case of `_sweep_modes`.
+    """
+    return _sweep_modes(cfg, taus, n_placements, n_slots, seed, (mode,))[mode]
 
 
 def run(

@@ -167,12 +167,42 @@ class TestValidate:
         assert code == 1
         assert "FAIL  fading-weights" in output
 
+    @pytest.mark.parametrize("name, problem", [
+        ("capacity_lower_bound", "harvested-power Jensen bound exceeds Monte Carlo mean"),
+        ("benchmark_capacity_lower_bound", "benchmark Jensen bound exceeds Monte Carlo mean"),
+    ])
+    def test_jensen_suite_gates_each_bound(self, monkeypatch, name, problem):
+        monkeypatch.setattr(analysis, name, lambda *args: math.inf)
+        assert cli._suite_jensen_bounds(analysis.SystemConfig(), 1.0) == [problem]
+
 
 class TestMain:
     def test_range_prints_single_number(self, capsys):
         assert cli.main(["range"]) == 0
         printed = capsys.readouterr().out.strip()
         assert float(printed) == pytest.approx(3.0451579810112697, rel=1e-9)
+
+    def test_range_to_file(self, tmp_path, capsys):
+        out = tmp_path / "range.txt"
+        assert cli.main(["range", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert float(out.read_text()) == pytest.approx(3.0451579810112697, rel=1e-9)
+
+    def test_validate_to_file(self, tmp_path, capsys):
+        out = tmp_path / "validate.txt"
+        assert cli.main(["validate", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 9 and all(line.startswith("PASS  ") for line in lines)
+
+    @pytest.mark.parametrize("command", ["range", "validate"])
+    def test_json_format_is_usage_error_without_json_form(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert cli.main([command, "--format", "json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "JSON" in captured.err
+        assert not out.exists()
 
     def test_analyze_to_file(self, tmp_path):
         out = tmp_path / "sweep.csv"

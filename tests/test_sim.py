@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from ehcr import analysis, fading, sim
+from ehcr import analysis, cli, fading, sim
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
 from ehcr.sim import SimConfigurationError
@@ -328,6 +328,49 @@ class TestRunSweep:
             sim.run_sweep(cfg, self.TAUS, 1, 100, seed=1)
         with pytest.raises(SimConfigurationError):
             sim.run_sweep(cfg, [], 10, 100, seed=1)
+
+
+class TestSweepModes:
+    @pytest.mark.parametrize("n_placements, n_slots, seed, taus, link_limited", [
+        (3, 13, 8, TestRunSweep.TAUS, True),
+        # crosses the chunk edge
+        (5, 5_000, 8, TestRunSweep.TAUS, True),
+        # the sim-model-agreement suite's budget
+        (500, 500, 11, [0.5], False),
+    ])
+    def test_equals_one_run_sweep_per_mode(self, n_placements, n_slots, seed, taus, link_limited):
+        cfg = link_limited_config(ideal=False) if link_limited else default_config()
+        both = sim._sweep_modes(cfg, taus, n_placements, n_slots, seed, sim.MODES)
+        assert set(both) == set(sim.MODES)
+        for mode in sim.MODES:
+            # every field, exactly
+            assert both[mode] == sim.run_sweep(cfg, taus, n_placements, n_slots, seed, mode=mode)
+
+    def test_rejects_bad_modes(self):
+        cfg = default_config()
+        for modes in ((), ("buffer", "slot_renewal")):
+            with pytest.raises(SimConfigurationError):
+                sim._sweep_modes(cfg, [0.5], 4, 10, 1, modes)
+
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_agreement_suite_notes_unchanged(self, ideal):
+        # the suite as it read with one `sim.run` per mode
+        cfg = default_config(ideal=ideal)
+        expected = []
+        point = analysis.evaluate(cfg)
+        renewal = sim.run(cfg, 500, 500, seed=11, mode="slot-renewal")
+        tol = max(2.0 * renewal.ci99_p_out, 0.02)
+        if abs(renewal.p_out_hat - point.p_out) > tol:
+            expected.append(
+                f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point.p_out:.4f}"
+            )
+        buffered = sim.run(cfg, 500, 500, seed=11, mode="buffer")
+        gap = buffered.p_tr_hat - point.p_tr
+        expected.append(
+            f"INFO buffer-mode accumulation surplus: p_tr {buffered.p_tr_hat:.4f}"
+            f" vs closed form {point.p_tr:.4f} (gap {gap:+.4f})"
+        )
+        assert cli._suite_sim_model_agreement(cfg, 1.0) == expected
 
 
 class TestGainStream:
