@@ -9,6 +9,8 @@ loop and the reduction alone. Sizes:
 
 - streams: 500 placements x 1 100 slots (one mc-sweep setup's draw), read
   chunk by chunk;
+- long harvest read: the harvest chunks of 200 placements x 27 500 slots
+  (the mc-long budget), each dropped once read;
 - link draw: the ST-SR link gains of 200 placements at the transmit counts
   of the mc-long budget (tau = 0.5, 25 000 slots);
 - 1-tau loop: 200 x 27 500 (the mc-long budget: 25 000 slots + warm-up);
@@ -66,6 +68,20 @@ def test_placement_streams(benchmark):
     distances, chunks, gens = benchmark(_streams, 500, 1_100)
     assert len(distances) == len(gens) == 500
     assert sum(len(gains) for _, gains in chunks) == 1_100
+
+
+def test_harvest_read_long(benchmark):
+    n_total = sim.warmup_slots(25_000) + 25_000
+
+    def fresh_streams():
+        _, uniform_states, gens = sim.placement_streams(CFG, 200, n_total, SEED)
+        edges = sim._slot_edges(n_total, sim._CHUNK)
+        return (CFG.fading_pb_st, uniform_states, gens, edges), {}
+
+    def read(*args):
+        return sum(len(gains) for _, gains in sim._gain_chunks(*args))
+
+    assert benchmark.pedantic(read, setup=fresh_streams, rounds=ROUNDS) == n_total
 
 
 def test_link_draw(benchmark):

@@ -272,11 +272,22 @@ def evaluate(cfg: SystemConfig) -> MetricPoint:
 
 
 def sweep(cfg: SystemConfig, tau_grid) -> list[MetricPoint]:
-    """One MetricPoint per switching-time value, all computed in one array pass."""
+    """One MetricPoint per switching-time value, all computed in one array pass.
+
+    Raises ValueError, naming the first such tau, when the closed form is
+    not finite at a tau of the grid.
+    """
     taus = _checked_taus(cfg, tau_grid)
     d_star = _d_star(cfg, taus)
-    v1, v2 = (_phi_closed_form(cfg, *branch) for branch in _branches(cfg, taus, d_star))
+    # a threshold coefficient that underflows to 0 makes its branch 0 ** -x * 0,
+    # NaN; the check below names the tau instead of warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v1, v2 = (_phi_closed_form(cfg, *branch) for branch in _branches(cfg, taus, d_star))
     p_tr = np.clip(v1 + v2, 0.0, 1.0)
+    finite = np.isfinite(p_tr)
+    if not finite.all():
+        tau = float(taus[~finite][0])
+        raise ValueError(f"the closed-form transmission probability is not finite at tau = {tau!r}")
     f_snr = snr_outage_cdf(cfg)
     p_out = p_tr * f_snr + (1.0 - p_tr)
     throughput = taus * cfg.rate * (1.0 - p_out)

@@ -389,7 +389,8 @@ def _suite_sim_conservation(cfg, _fault):
     d = sim.sample_distance(cfg, gen)
     path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
     stored = np.array([capacity])
-    idle, after_tx, full = np.empty(1), np.empty(1), np.empty(1, dtype=bool)
+    idle, after_tx, level = np.empty(1), np.empty(1), np.empty(1)
+    silent = np.empty(1, dtype=bool)
     for _ in range(500):
         gp = fading.sample(cfg.fading_pb_st, gen)
         was_full = stored[0] >= capacity
@@ -401,7 +402,7 @@ def _suite_sim_conservation(cfg, _fault):
         sim._slot_terms(
             capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain, gp, idle, after_tx
         )
-        sim._step_slot(stored, capacity, idle, after_tx, full)
+        sim._step_slot(stored, capacity, idle, after_tx, silent, level)
         if stored[0] != expected:
             problems.append("per-slot energy bookkeeping mismatch")
             break

@@ -7,10 +7,12 @@ harvests for the rest of the frame; any other buffer harvests for the whole
 frame; the level is capped at the capacity ``C``. A full buffer holds exactly
 ``C``, so its level after a transmission depends on that slot's gain alone;
 ``_slot_terms`` computes it, and the idle harvest, for a block of slots at
-once, and ``_step_slot`` then costs four array operations per slot. The
-update works on arrays, so one call advances every (tau, placement) buffer
-of a sweep, and the validate suite drives the same update on a one-element
-buffer.
+once. ``_step_slot`` then costs five array operations per slot and no
+branch: a buffer's ceiling is ``C`` if it is silent and its
+post-transmission level if it is full, and ``stored + idle`` is cut at that
+ceiling, which gives the same floats as the rule above. The update works on
+arrays, so one call advances every (tau, placement) buffer of a sweep, and
+the validate suite drives the same update on a one-element buffer.
 
 The ``slot-renewal`` mode reproduces the modeling assumptions behind the
 closed-form transmission probability (each slot judged on the previous
@@ -40,26 +42,33 @@ That needs at least two placements.
 Each placement's generator yields, in order, the uniform that places its
 distance inside its stratum, ``n_total`` component uniforms and ``n_total``
 gammas of the harvest link, then the ST-SR link stream laid out the same
-way. Both gain streams are read from two positions: a copy of the PCG64
+way. The harvest stream is read from two positions: a copy of the PCG64
 state reads the uniforms, and the generator itself, advanced by ``n_total``
-(one 64-bit output per uniform), reads the gammas. The harvest gains are
-read in slot chunks of ``_CHUNK``, which join into exactly the eager draw,
-so gain memory is O(placements × chunk). A read maps its uniforms to
-mixture components through `fading.component_index`, a table lookup that
-equals ``Generator.choice``'s search of the weight CDF, and draws
-``standard_gamma(shape) * omega``, which is numpy's ``gamma(shape, omega)``
-bit for bit without its scale argument's checks. The slot loop records,
+(one 64-bit output per uniform), reads the gammas. Its gains are read in
+slot chunks of ``_CHUNK``, which join into exactly the eager draw, so gain
+memory is O(placements × chunk). The link stream is read whole, so its
+generator reads its uniforms itself and then skips the rest of them. Both
+streams are read a group of placements at a time, about ``_GROUP_DOUBLES``
+values per group: the group's uniforms go into one buffer, and one call of
+`fading.component_index`, a table lookup that equals ``Generator.choice``'s
+search of the weight CDF, maps them to gamma shapes. Each generator then
+draws its ``standard_gamma(shape)``, and one multiplication by ``omega``
+follows, which is numpy's ``gamma(shape, omega)`` bit for bit without its
+scale argument's checks. The harvest gains land in a placement-major
+buffer that the slot loop reads transposed. The slot loop records,
 per (tau, placement), how many measured slots transmit. A slot's link gain
 matters only if it transmits, so the j-th measured transmission of a
 placement gets the j-th gain of its link stream, and only as many link
 gains are drawn as the placement's largest transmit count over the grid
 and the modes, rounded up to a multiple of ``_LINK_QUANTUM``. The link
 stream is read the same way whatever that count, so a tau's estimate does
-not depend on the rest of its grid, nor on the other mode. The success count of a (tau, placement) is the
-placement's cumulative link-success count at its transmit count.
+not depend on the rest of its grid, nor on the other mode. The success
+count of a (tau, placement) is the placement's cumulative link-success
+count at its transmit count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +89,8 @@ _BLOCK = 32
 # link gains are drawn in whole multiples of this many per placement: draws
 # of a few sizes keep repeated runs from fragmenting the heap
 _LINK_QUANTUM = 64
+# doubles per group of placements read at once from the gain streams
+_GROUP_DOUBLES = 8_192
 
 
 class SimConfigurationError(ValueError):
@@ -154,30 +165,48 @@ def _slot_edges(n_total: int, step: int):
     return [*range(0, n_total, step), n_total]
 
 
-def _read_gains(p, reader, state, gen, size):
-    """``size`` gains of a two-position stream, and the moved-on uniform position.
-
-    The component uniforms are read at ``state`` with ``reader``, and the
-    gammas from ``gen``, so consecutive reads join into exactly what one
-    `fading.sample` of the whole stream gives.
-    """
-    reader.bit_generator.state = state
-    j = fading.component_index(p, reader.random(size))
-    return fading.component_gammas(p, gen, j), reader.bit_generator.state
+def _fill_shapes(p, uniforms, out):
+    """Write into ``out`` the gamma shape of each uniform's mixture component."""
+    # every index names a component, so the clip never binds; it spares
+    # np.take the buffered output of its default bounds check
+    np.take(p._shapes_float, fading.component_index(p, uniforms), out=out, mode="clip")
 
 
 def _gain_chunks(p, uniform_states, gens, chunks):
     """Yield ``(first slot, gains)`` per chunk, gains slot-major ``(slots, placements)``.
 
-    Each chunk moves on the placements' uniform positions in ``uniform_states``.
+    Each chunk but the last moves on the placements' uniform positions in
+    ``uniform_states``. The placements are read a group at a time: the shared
+    reader writes each one's uniforms into a row of the group buffer, one
+    lookup maps the whole group to gamma shapes, and each generator draws
+    its gammas into its row of a placement-major gain buffer. The yielded
+    gains are that buffer's transposed view.
     """
     reader = np.random.Generator(np.random.PCG64(0))
-    out = np.empty((max(np.diff(chunks)), len(gens)))
+    width = max(np.diff(chunks))
+    group = max(1, _GROUP_DOUBLES // width)
+    # the uniforms of a group, then in place their gamma shapes
+    uniforms = np.empty(group * width)
+    # an odd number of 64-byte lines per row, so that one slot's placements
+    # fall in different cache sets; a pitch of a multiple of 4 096 bytes would
+    # put them all in one
+    gains = np.empty((len(gens), 8 * (-(-width // 8) | 1)))
     for lo, hi in zip(chunks, chunks[1:]):
-        gains = out[: hi - lo]
-        for i, gen in enumerate(gens):
-            gains[:, i], uniform_states[i] = _read_gains(p, reader, uniform_states[i], gen, hi - lo)
-        yield lo, gains
+        n = hi - lo
+        for first in range(0, len(gens), group):
+            rows = range(first, min(first + group, len(gens)))
+            u = uniforms[:len(rows) * n].reshape(len(rows), n)
+            for i, row in zip(rows, u):
+                reader.bit_generator.state = uniform_states[i]
+                reader.random(out=row)
+                if hi < chunks[-1]:
+                    uniform_states[i] = reader.bit_generator.state
+            _fill_shapes(p, u, u)
+            for i, shape in zip(rows, u):
+                gens[i].standard_gamma(shape, out=gains[i, :n])
+        block = gains[:, :n]
+        block *= p.omega
+        yield lo, block.T
 
 
 def _slot_terms(capacity, consumption, path_gain, tx_gain, gains, idle, after_tx):
@@ -187,26 +216,35 @@ def _slot_terms(capacity, consumption, path_gain, tx_gain, gains, idle, after_tx
     that transmits is full, so it holds exactly ``capacity`` (it starts there
     and is capped there), and its level afterwards depends on the gain alone:
     ``after_tx = min(capacity, (capacity - consumption) + tx_gain * gain)``.
+    The gains, perhaps a strided view, are first copied into ``idle``, so
+    that the broadcast product over the taus reads them contiguously.
     """
-    np.multiply(path_gain, gains, out=idle)
-    np.multiply(tx_gain, gains, out=after_tx)
+    np.copyto(idle, gains)
+    np.multiply(tx_gain, idle, out=after_tx)
     after_tx += capacity - consumption
     np.minimum(after_tx, capacity, out=after_tx)
+    idle *= path_gain
 
 
-def _step_slot(stored, capacity, idle, after_tx, full):
-    """Advance energy buffers one frame in place; write into ``full`` which transmit.
+def _step_slot(stored, capacity, idle, after_tx, silent, level):
+    """Advance energy buffers one frame in place; write into ``silent`` which do not transmit.
 
     A full buffer transmits and ends at ``after_tx``; any other buffer adds
-    ``idle``; the level is capped at ``capacity``. The arguments broadcast
+    ``idle``; the level is capped at ``capacity``. Written without a branch:
+    a silent buffer's ceiling ``level`` is ``capacity``, a full one's is
+    ``after_tx``, and ``stored + idle`` is cut at it. That is the rule exactly,
+    float for float, because a full buffer holds ``capacity`` (it starts there
+    and is capped there), ``0 <= after_tx <= capacity`` and ``idle >= 0``.
+    ``level`` is scratch of ``stored``'s shape. The arguments broadcast
     against ``stored`` (one element or ``(n_tau, n_placements)``), and every
     element sees the same operations in the same order whatever the shape, so
     a buffer's trajectory does not depend on what it is batched with.
     """
-    np.greater_equal(stored, capacity, out=full)
+    np.less(stored, capacity, out=silent)
+    np.multiply(silent, capacity, out=level)
+    np.maximum(level, after_tx, out=level)
     stored += idle
-    np.minimum(stored, capacity, out=stored)
-    np.copyto(stored, after_tx, where=full)
+    np.minimum(stored, level, out=stored)
 
 
 def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
@@ -222,9 +260,14 @@ def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
     path_gain = cfg.eta * t * cfg.p_beacon / distances**cfg.alpha_pb_st
     tx_gain = (1.0 - taus)[:, None] * path_gain
     stored = np.full(tx.shape, capacity)
+    level = np.empty_like(stored)
     idle = np.empty((_BLOCK, 1, len(distances)))
     after_tx = np.empty((_BLOCK, *stored.shape))
-    full = np.empty(after_tx.shape, dtype=bool)
+    silent = np.empty(after_tx.shape, dtype=bool)
+    # each slot of a block steps on the same views, so build their argument
+    # tuples once; a 0-d capacity spares each ufunc call converting a float
+    ceiling = np.array(capacity)
+    slots = [(stored, ceiling, *views, level) for views in zip(idle, after_tx, silent)]
     lo, gains = next(chunks)
     for a, b in zip(blocks, blocks[1:]):
         if a == lo + len(gains):
@@ -232,10 +275,12 @@ def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
         n = b - a
         _slot_terms(capacity, consumption, path_gain, tx_gain,
                     gains[a - lo:b - lo, None], idle[:n], after_tx[:n])
-        for slot in zip(idle[:n], after_tx[:n], full[:n]):
-            _step_slot(stored, capacity, *slot)
+        for args in slots[:n]:
+            _step_slot(*args)
         if b > warmup:
-            tx += full[max(warmup - a, 0):n].sum(axis=0)
+            first = max(warmup - a, 0)
+            tx += n - first
+            tx -= silent[first:n].sum(axis=0)
 
 
 def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
@@ -267,19 +312,46 @@ def _link_successes(cfg, gens, n_total, most):
     ``_LINK_QUANTUM``, are read, and they are the first ones of the eager
     draw. Entry ``j`` of the yielded array counts the successes among the
     first ``j`` transmissions, for ``j`` up to at least ``most[i]``.
+
+    The placements are read a group at a time, their prefixes laid end to
+    end in one flat buffer: each generator reads its own uniforms and then
+    skips the rest of them, one lookup maps the group to gamma shapes, each
+    generator draws its gammas, and one comparison judges the group's links.
     """
     p = cfg.fading_st_sr
     snr_scale = cfg.p_st / (cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power)
-    reader = np.random.Generator(np.random.PCG64(0))
-    for gen, m in zip(gens, most.tolist()):
-        m = min(-(-m // _LINK_QUANTUM) * _LINK_QUANTUM, n_total)
-        state = gen.bit_generator.state
-        # one 64-bit output per uniform double
-        gen.bit_generator.advance(n_total)
-        gains, _ = _read_gains(p, reader, state, gen, m)
-        successes = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(snr_scale * gains > cfg.gamma_th, out=successes[1:])
-        yield successes
+    sizes = np.minimum(-(-most // _LINK_QUANTUM) * _LINK_QUANTUM, n_total).tolist()
+    groups = [0]
+    total = 0
+    for i, m in enumerate(sizes):
+        if total + m > _GROUP_DOUBLES and i > groups[-1]:
+            groups.append(i)
+            total = 0
+        total += m
+    groups.append(len(sizes))
+    # the uniforms of a group, then in place their gamma shapes
+    uniforms = np.empty(max([_GROUP_DOUBLES, *sizes]))
+    gains = np.empty_like(uniforms)
+    ok = np.empty(len(uniforms), dtype=bool)
+    for first, last in zip(groups, groups[1:]):
+        edges = [0, *itertools.accumulate(sizes[first:last])]
+        spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        for gen, span, m in zip(gens[first:last], spans, sizes[first:last]):
+            gen.random(out=uniforms[span])
+            # one 64-bit output per uniform double
+            gen.bit_generator.advance(n_total - m)
+        n = edges[-1]
+        _fill_shapes(p, uniforms[:n], uniforms[:n])
+        for gen, span in zip(gens[first:last], spans):
+            gen.standard_gamma(uniforms[span], out=gains[span])
+        g = gains[:n]
+        g *= p.omega
+        g *= snr_scale
+        np.greater(g, cfg.gamma_th, out=ok[:n])
+        for span in spans:
+            successes = np.zeros(span.stop - span.start + 1, dtype=np.int64)
+            np.cumsum(ok[span], out=successes[1:])
+            yield successes
 
 
 def _ci99(fractions: np.ndarray) -> float:

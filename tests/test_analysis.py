@@ -308,6 +308,13 @@ class TestSweepEngine:
             # the two branches split the annulus, so their sum is a probability
             assert 0.0 <= point.phi1 + point.phi2 <= 1.0 + 1e-12
 
+    def test_names_first_tau_with_nonfinite_closed_form(self):
+        # at a 3000 dBm beacon the threshold coefficient of these taus
+        # underflows to 0, and the closed form to NaN
+        cfg = default_config(p_beacon=1e297)
+        with pytest.raises(ValueError, match=r"tau = 1e-300$"):
+            analysis.sweep(cfg, [0.5, 1e-300, 1e-301])
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, math.nan, 5e-324])
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_rejects_grid_with_invalid_tau(self, bad, position):

@@ -297,6 +297,22 @@ class TestMain:
         for column in ("phi1", "phi2", "p_tr", "p_out", "throughput"):
             assert math.isfinite(row[column])
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["analyze", "--format", "json"],
+        ["simulate", "--placements", "4", "--slots", "10"],
+    ])
+    def test_nonfinite_closed_form_is_usage_error(self, tmp_path, capsys, argv):
+        # at this beacon power and tau the threshold coefficient underflows to
+        # 0, and the closed form would give a NaN row
+        path = tmp_path / "loud.cfg"
+        path.write_text("P_b_dbm = 3000\n")
+        assert cli.main([*argv, "--config", str(path), "--tau-grid", "1e-300:1e-300:0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "tau = 1e-300" in captured.err
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert cli.main(["analyze", "--config", str(missing)]) == 2

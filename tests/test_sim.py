@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize, stats
 
 from ehcr import analysis, cli, fading, sim
@@ -125,18 +126,57 @@ def renewal_threshold(cfg, d):
 
 
 def advance(stored, capacity, consumption, path_gain, tx_gain, gain_p):
+    """The buffer rule on one scalar buffer, in plain Python: (transmitted, level after).
+
+    A full buffer transmits, spends ``consumption`` and harvests ``tx_gain``
+    per unit gain; any other buffer harvests ``path_gain``; the level is
+    capped at ``capacity``.
+    """
+    if stored >= capacity:
+        return True, min(capacity, capacity - consumption + tx_gain * gain_p)
+    return False, min(capacity, stored + path_gain * gain_p)
+
+
+def sim_advance(stored, capacity, consumption, path_gain, tx_gain, gain_p):
     """One `sim._step_slot` on the one-element ``stored``; return whether it transmitted."""
-    idle, after_tx, full = np.empty(1), np.empty(1), np.empty(1, dtype=bool)
+    idle, after_tx, level = np.empty(1), np.empty(1), np.empty(1)
+    silent = np.empty(1, dtype=bool)
     sim._slot_terms(capacity, consumption, path_gain, tx_gain, gain_p, idle, after_tx)
-    sim._step_slot(stored, capacity, idle, after_tx, full)
-    return bool(full[0])
+    sim._step_slot(stored, capacity, idle, after_tx, silent, level)
+    return not silent[0]
 
 
 def step(cfg, stored, d, gain_p, gain_s):
-    """One slot on a one-element buffer: (transmitted, outage, stored after)."""
+    """One simulator slot on a one-element buffer: (transmitted, outage, stored after)."""
     buffer = np.array([stored])
-    transmitted = advance(buffer, *buffer_terms(cfg, d), gain_p)
+    transmitted = sim_advance(buffer, *buffer_terms(cfg, d), gain_p)
     return transmitted, not (transmitted and snr_ok(cfg, gain_s)), float(buffer[0])
+
+
+def masked_copy_step(stored, capacity, idle, after_tx):
+    """The update as a masked copy: (level after, which buffers were full)."""
+    full = stored >= capacity
+    stored = np.minimum(stored + idle, capacity)
+    np.copyto(stored, after_tx, where=full)
+    return stored, full
+
+
+# a share of the capacity, with the ends themselves drawn often
+SHARES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def slot_arrays(draw):
+    """(stored, capacity, idle, after_tx) of one slot, one element or (taus, placements)."""
+    n_taus, n_placements = draw(st.sampled_from([(None, 1), (1, 1), (3, 7), (9, 40)]))
+    shape = (n_placements,) if n_taus is None else (n_taus, n_placements)
+    idle_shape = (n_placements,) if n_taus is None else (1, n_placements)
+    capacity = draw(st.floats(1e-12, 1e6))
+    stored = draw(hnp.arrays(np.float64, shape, elements=SHARES)) * capacity
+    after_tx = draw(hnp.arrays(np.float64, shape, elements=SHARES)) * capacity
+    idle = draw(hnp.arrays(np.float64, idle_shape,
+                           elements=st.one_of(st.just(0.0), st.floats(0.0, 1e3))))
+    return stored, capacity, idle * capacity, after_tx
 
 
 class TestStepSlot:
@@ -173,7 +213,7 @@ class TestStepSlot:
             expected = min(
                 capacity, stored[0] - (consumption if was_full else 0.0) + scale * path_gain * gp
             )
-            assert advance(stored, capacity, consumption, path_gain, tx_gain, gp) == was_full
+            assert sim_advance(stored, capacity, consumption, path_gain, tx_gain, gp) == was_full
             assert stored[0] == expected
             assert 0.0 <= stored[0] <= capacity
 
@@ -181,6 +221,18 @@ class TestStepSlot:
         cfg = default_config()
         _, outage, _ = step(cfg, 0.0, 5.0, 1.0, 1e9)
         assert outage
+
+    @settings(max_examples=200, deadline=None)
+    @given(slot_arrays())
+    def test_branch_free_update_equals_masked_copy(self, arrays):
+        stored, capacity, idle, after_tx = arrays
+        expected, full = masked_copy_step(stored, capacity, idle, after_tx)
+        silent = np.empty(stored.shape, dtype=bool)
+        level = np.empty_like(stored)
+        sim._step_slot(stored, capacity, idle, after_tx, silent, level)
+        # bit for bit, signed zeros included
+        assert np.array_equal(stored.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(silent, ~full)
 
 
 class TestRun:
@@ -223,10 +275,10 @@ class TestRun:
             streams = reference_streams(cfg, n_placements, n_total, seed)
             for i, (d, gains_p, gains_s) in enumerate(streams):
                 terms = buffer_terms(cfg, d)
-                stored = np.array([terms[0]])
+                stored = terms[0]
                 for n in range(n_total):
                     if mode == "buffer":
-                        transmitted = advance(stored, *terms, gains_p[n])
+                        transmitted, stored = advance(stored, *terms, gains_p[n])
                     else:
                         transmitted = gains_p[n] >= renewal_threshold(cfg, d)
                     if n >= warmup:
@@ -373,21 +425,33 @@ class TestSweepModes:
         assert cli._suite_sim_model_agreement(cfg, 1.0) == expected
 
 
+# (antennas, split, placements); the three-placement cases keep their
+# two-part ids
+JOIN_CASES = [
+    pytest.param(antennas, split, n, id=f"{antennas}-{split}" + ("" if n == 3 else f"-{n}"))
+    for n in (3, 19) for antennas in (1, 16) for split in (1024, 1, 7, None)
+]
+
+
 class TestGainStream:
-    @pytest.mark.parametrize("split", [1, 7, 1024, None])
-    @pytest.mark.parametrize("antennas", [1, 16])
-    def test_chunks_join_into_the_eager_draw(self, antennas, split):
-        # L = 1 has 20 mixture components, L = 16 has 5
+    @pytest.mark.parametrize("antennas, split, n_placements", JOIN_CASES)
+    def test_chunks_join_into_the_eager_draw(self, antennas, split, n_placements):
+        # L = 1 has 20 mixture components, L = 16 has 5. With 19 placements
+        # the chunks of 1 024 and 1 100 slots, and the link reads, span
+        # several groups, the last one short.
         fading_params = FadingParams(7.0, antennas, 20)
-        cfg = default_config(fading_pb_st=fading_params, fading_st_sr=fading_params)
-        n_placements, n_total, seed = 3, 1_100, 41
+        # the link fails about half the time, so a wrong link gain shows
+        cfg = link_limited_config(fading_pb_st=fading_params, fading_st_sr=fading_params)
+        n_total, seed = 1_100, 41
         edges = [*range(0, n_total, split or n_total), n_total]
         distances, uniform_states, gens = sim.placement_streams(cfg, n_placements, n_total, seed)
         chunks = sim._gain_chunks(cfg.fading_pb_st, uniform_states, gens, edges)
         joined = np.concatenate([gains.copy() for _, gains in chunks])
         # the generators now stand at the link streams; read a different
         # prefix of each
-        most = np.array([0, 1, n_total])
+        most = np.array([0, 1, n_total, *(n_total - 7 * i for i in range(n_placements - 3))])
+        if n_placements > 3:
+            assert most.sum() > sim._GROUP_DOUBLES
         links = sim._link_successes(cfg, gens, n_total, most)
         streams = reference_streams(cfg, n_placements, n_total, seed)
         for i, (successes, (d, gains_p, gains_s)) in enumerate(zip(links, streams)):
@@ -399,18 +463,23 @@ class TestGainStream:
 
     def test_link_draw_is_prefix_stable(self):
         cfg = link_limited_config()
-        n_placements, n_total = 4, 300
 
-        def successes(most):
+        def successes(n_placements, n_total, most):
             _, states, gens = sim.placement_streams(cfg, n_placements, n_total, seed=5)
             for _ in sim._gain_chunks(cfg.fading_pb_st, states, gens, [0, n_total]):
                 pass
             return list(sim._link_successes(cfg, gens, n_total, np.array(most)))
 
-        longest = successes([n_total] * n_placements)
-        for most, short, long in zip([0, 3, 150, 299], successes([0, 3, 150, 299]), longest):
-            assert most < len(short) <= len(long)
-            assert np.array_equal(short, long[:len(short)])
+        # at 19 x 2 000 the full-length reads come in groups of four, the last
+        # of three
+        for n_placements, n_total in ((4, 300), (19, 2_000)):
+            longest = successes(n_placements, n_total, [n_total] * n_placements)
+            shorter = [0, 3, n_total // 2, n_total - 1, 1, n_total]
+            shorter = [shorter[i % len(shorter)] for i in range(n_placements)]
+            for most, short, long in zip(shorter, successes(n_placements, n_total, shorter),
+                                         longest):
+                assert most < len(short) <= len(long)
+                assert np.array_equal(short, long[:len(short)])
 
     @pytest.mark.parametrize("mode", sim.MODES)
     @pytest.mark.parametrize(
