@@ -12,6 +12,7 @@ Sizes:
 - ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
   perfbench's analytic-grid workload at seed 1;
 - ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout;
+- ``RunReport.to_csv`` of the 999-row ``ehcr analyze`` report on that grid;
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
 - validate's ``sim-model-agreement`` suite (both simulator modes at
   500 placements × 500 slots) and ``jensen-bounds`` suite (1e6 samples of
@@ -100,6 +101,12 @@ def test_cli_analyze_end_to_end(benchmark, capsys):
         return code
 
     assert benchmark(job) == 0
+
+
+def test_to_csv_analytic_grid(benchmark):
+    report = cli.cmd_analyze(CFG, cli.parse_tau_grid(ANALYTIC_GRID))
+    text = benchmark(report.to_csv)
+    assert text.count("\n") == 1000
 
 
 def test_cli_validate_end_to_end(benchmark, capsys):

@@ -2,9 +2,11 @@
 
 Computes the effective harvesting range, the two-branch transmission
 probability, outage and throughput, with ideal or lossy (rho, P_c) hardware.
-``sweep`` is the engine, one array pass over a tau grid; ``evaluate``,
-``phi1``, ``phi2`` and ``effective_range`` are one-tau views of it, and the
-quadrature oracles take only its branch limits.
+``sweep_columns`` is the engine, one array pass over a tau grid that
+returns one array per output column; ``sweep`` is its row view (one
+``MetricPoint`` per tau), ``evaluate``, ``phi1``, ``phi2`` and
+``effective_range`` are one-tau views, and the quadrature oracles take only
+its branch limits.
 """
 
 from __future__ import annotations
@@ -188,11 +190,24 @@ def _phi_closed_form(cfg: SystemConfig, threshold_coeff, lo, hi) -> np.ndarray:
     b = c * hi[live, None] ** alpha
     r = np.arange(p.m, dtype=float)
     s = r + 2.0 / alpha
-    # P(s, b) - P(s, a), taken from the upper tails where that avoids cancellation
-    pb = special.gammainc(s, b)
-    qa = special.gammaincc(s, a)
-    upper = (pb > 0.5) & (qa <= 0.5)
-    diff = np.where(upper, qa - special.gammaincc(s, b), pb - special.gammainc(s, a))
+    # P(s, b) - P(s, a), taken from the upper tails Q(s, a) - Q(s, b) where P(s, b) > 0.5
+    # and Q(s, a) <= 0.5, which avoids cancellation. Each cell evaluates only the side it
+    # keeps, gathered by boolean masks: scipy 1.17.1's ufuncs go wrong under `where=`.
+    diff = special.gammainc(s, b)  # P(s, b) until each cell's difference replaces it
+    s_cells, a_cells, b_cells = np.broadcast_arrays(s, a, b)
+    # Q(s, a) falls as a grows, so below a gate where Q(s, gate) exceeds 0.5 by far more
+    # than rounding, Q(s, a) > 0.5 and the cell keeps the lower side without evaluating
+    # Q(s, a). The gate sits just under the median of the gamma law of shape s; where
+    # Q(s, gate) does not confirm it (gammaincinv inexact or NaN), it is 0 and gates nothing.
+    gate = special.gammaincinv(s, 0.5) * (1.0 - 1e-6)
+    gate = np.where(special.gammaincc(s, gate) > 0.5 + 1e-9, gate, 0.0)
+    upper = (diff > 0.5) & (a_cells >= gate)
+    qa = special.gammaincc(s_cells[upper], a_cells[upper])
+    upper[upper] = qa <= 0.5
+    diff[upper] = qa[qa <= 0.5] - special.gammaincc(s_cells[upper], b_cells[upper])
+    del qa  # before the gathers of the lower side, which hold most cells
+    lower = ~upper
+    diff[lower] -= special.gammainc(s_cells[lower], a_cells[lower])
     terms = p._tail_weights * np.exp(special.gammaln(s) - special.gammaln(r + 1.0)) * diff
     norm = cfg.d_max**2 - cfg.d_min**2
     out[live] = 2.0 * c[:, 0] ** (-2.0 / alpha) * terms.sum(axis=1) / (alpha * norm)
@@ -272,10 +287,22 @@ def evaluate(cfg: SystemConfig) -> MetricPoint:
 
 
 def sweep(cfg: SystemConfig, tau_grid) -> list[MetricPoint]:
-    """One MetricPoint per switching-time value, all computed in one array pass.
+    """One MetricPoint per switching-time value: the row view of `sweep_columns`.
 
-    Raises ValueError, naming the first such tau, when the closed form is
-    not finite at a tau of the grid.
+    Raises ValueError as `sweep_columns` does.
+    """
+    columns = sweep_columns(cfg, tau_grid)
+    fields = [columns[f.name].tolist() for f in dataclasses.fields(MetricPoint)]
+    return [MetricPoint(*row) for row in zip(*fields)]
+
+
+def sweep_columns(cfg: SystemConfig, tau_grid) -> dict[str, np.ndarray]:
+    """The closed forms over a tau grid, in one array pass: the engine.
+
+    Returns one float array per column, one entry per tau, in CSV order:
+    ``tau`` and then the fields of `MetricPoint`. Raises ValueError, naming
+    the first such tau, when the closed form is not finite at a tau of the
+    grid.
     """
     taus = _checked_taus(cfg, tau_grid)
     d_star = _d_star(cfg, taus)
@@ -291,5 +318,13 @@ def sweep(cfg: SystemConfig, tau_grid) -> list[MetricPoint]:
     f_snr = snr_outage_cdf(cfg)
     p_out = p_tr * f_snr + (1.0 - p_tr)
     throughput = taus * cfg.rate * (1.0 - p_out)
-    columns = (d_star, v1, v2, p_tr, np.full_like(taus, f_snr), p_out, throughput)
-    return [MetricPoint(*row) for row in zip(*(col.tolist() for col in columns))]
+    return {
+        "tau": taus,
+        "d_star": d_star,
+        "phi1": v1,
+        "phi2": v2,
+        "p_tr": p_tr,
+        "f_snr": np.full_like(taus, f_snr),
+        "p_out": p_out,
+        "throughput": throughput,
+    }

@@ -23,6 +23,8 @@ from .fading import FadingParams
 from .numerics import AccuracySpec
 
 SIM_COLUMNS = ("p_tr_mc", "p_out_mc", "thr_mc", "ci99_ptr", "ci99_pout")
+# the `sim.SimEstimate` field behind each of SIM_COLUMNS
+_ESTIMATE_FIELDS = ("p_tr_hat", "p_out_hat", "throughput_hat", "ci99_p_tr", "ci99_p_out")
 
 CONFIG_DEFAULTS = {
     "P_b_dbm": 33.0,
@@ -51,6 +53,7 @@ _INT_KEYS = {"L", "m", "m_s"}
 _BOOL_KEYS = {"ideal"}
 
 DEFAULT_TAU_GRID = "0.05:0.95:0.05"
+_CSV_BLOCK_ROWS = 128
 
 
 class ConfigError(Exception):
@@ -59,21 +62,34 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass
 class RunReport:
-    """Sweep output plus provenance: config echo, rows, verdicts, timing."""
+    """Sweep output plus provenance: config echo, columns, verdicts, timing.
+
+    ``columns`` maps each output column, in CSV order, to a float array with
+    one entry per row, as `analysis.sweep_columns` returns them; ``rows`` is
+    the per-row view of the same values.
+    """
 
     config: dict
-    rows: list
+    columns: dict
     validation: list
     duration_s: float
 
+    @property
+    def rows(self) -> list:
+        names = list(self.columns)
+        return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in self.columns.values()))]
+
     def to_csv(self) -> str:
-        if not self.rows:
+        table = np.column_stack(list(self.columns.values()))
+        if not len(table):
             return ""
-        columns = list(self.rows[0].keys())
+        line = ",".join(["%.17e"] * table.shape[1]) + "\n"
         out = io.StringIO()
-        out.write(",".join(columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(format(row[c], ".17e") for c in columns) + "\n")
+        out.write(",".join(self.columns) + "\n")
+        # one `%` per block of rows, so only one block's float objects are alive at a time
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            out.write(line * len(block) % tuple(block.ravel().tolist()))
         return out.getvalue()
 
     def to_json(self) -> str:
@@ -85,6 +101,7 @@ class RunReport:
                 "duration_s": self.duration_s,
             },
             indent=2,
+            allow_nan=False,
         )
 
 
@@ -225,13 +242,12 @@ def cmd_analyze(cfg: SystemConfig, tau_grid) -> RunReport:
     """Analytic sweep; one CSV row per switching-time value."""
     started = time.perf_counter()
     try:
-        points = analysis.sweep(cfg, tau_grid)
+        columns = analysis.sweep_columns(cfg, tau_grid)
     except ValueError as exc:
         raise ConfigError(f"invalid tau grid: {exc}") from exc
-    rows = [{"tau": float(tau), **vars(point)} for tau, point in zip(tau_grid, points)]
     return RunReport(
         config=config_echo(cfg),
-        rows=rows,
+        columns=columns,
         validation=[],
         duration_s=time.perf_counter() - started,
     )
@@ -248,14 +264,8 @@ def cmd_simulate(
     report = cmd_analyze(cfg, tau_grid)
     started = time.perf_counter()
     estimates = sim.run_sweep(cfg, tau_grid, n_placements, n_slots, seed)
-    for row, estimate in zip(report.rows, estimates):
-        row.update(zip(SIM_COLUMNS, (
-            estimate.p_tr_hat,
-            estimate.p_out_hat,
-            estimate.throughput_hat,
-            estimate.ci99_p_tr,
-            estimate.ci99_p_out,
-        )))
+    for name, field in zip(SIM_COLUMNS, _ESTIMATE_FIELDS):
+        report.columns[name] = np.array([getattr(e, field) for e in estimates], dtype=float)
     report.duration_s += time.perf_counter() - started
     return report
 
@@ -554,7 +564,14 @@ def main(argv=None) -> int:
             report = cmd_analyze(cfg, tau_grid)
         else:
             report = cmd_simulate(cfg, tau_grid, args.placements, args.slots, args.seed)
-        _write(report.to_csv() if args.format == "csv" else report.to_json(), args)
+        if args.format == "csv":
+            _write(report.to_csv(), args)
+            return 0
+        try:
+            text = report.to_json()
+        except ValueError as exc:  # JSON has no inf or NaN
+            raise ConfigError(f"cannot write JSON: {exc}; use --format csv") from exc
+        _write(text, args)
         return 0
     except (ConfigError, OSError, sim.SimConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ehcr import analysis, fading
 from ehcr.analysis import SystemConfig
@@ -325,3 +326,62 @@ class TestSweepEngine:
             cfg.with_tau(bad)
         with pytest.raises(ValueError, match=re.escape(str(from_config.value))):
             analysis.sweep(cfg, taus)
+
+
+def _phi_four_arrays(cfg, threshold_coeff, lo, hi):
+    # The closed form as first vectorised: all four incomplete-gamma arrays on
+    # every cell, and np.where keeps one pair per cell.
+    out = np.zeros(len(lo))
+    live = hi > lo
+    p = cfg.fading_pb_st
+    alpha = cfg.alpha_pb_st
+    c = threshold_coeff[live, None] / p.omega
+    a = c * lo[live, None] ** alpha
+    b = c * hi[live, None] ** alpha
+    r = np.arange(p.m, dtype=float)
+    s = r + 2.0 / alpha
+    pb = special.gammainc(s, b)
+    qa = special.gammaincc(s, a)
+    upper = (pb > 0.5) & (qa <= 0.5)
+    diff = np.where(upper, qa - special.gammaincc(s, b), pb - special.gammainc(s, a))
+    terms = p._tail_weights * np.exp(special.gammaln(s) - special.gammaln(r + 1.0)) * diff
+    norm = cfg.d_max**2 - cfg.d_min**2
+    out[live] = 2.0 * c[:, 0] ** (-2.0 / alpha) * terms.sum(axis=1) / (alpha * norm)
+    return out
+
+
+class TestPhiClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        antennas=st.integers(min_value=1, max_value=20),
+        ideal=st.booleans(),
+        alpha=st.floats(min_value=0.5, max_value=10.0),
+        d_min=st.floats(min_value=0.05, max_value=10.0),
+        spread=st.floats(min_value=1.0, max_value=40.0),
+        taus=tau_grids(),
+    )
+    def test_equals_four_array_formula(self, antennas, ideal, alpha, d_min, spread, taus):
+        cfg = default_config(
+            ideal=ideal,
+            alpha_pb_st=alpha,
+            d_min=d_min,
+            d_max=d_min * spread,
+            fading_pb_st=FadingParams(7.0, antennas, 20),
+        )
+        taus = np.array(taus)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for branch in analysis._branches(cfg, taus, analysis._d_star(cfg, taus)):
+                got = analysis._phi_closed_form(cfg, *branch)
+                assert np.array_equal(got, _phi_four_arrays(cfg, *branch), equal_nan=True)
+
+    @pytest.mark.parametrize("antennas", [1, 16])
+    def test_equals_four_array_formula_across_the_median(self, antennas):
+        # the lower limits a = c * lo**alpha (here c = 1) run densely through the median
+        # of every term's gamma law, where the choice of tail flips
+        cfg = default_config(fading_pb_st=FadingParams(7.0, antennas, 20))
+        a = np.linspace(0.0, 30.0, 20_001)
+        coeff = np.full_like(a, cfg.fading_pb_st.omega)
+        lo = a ** (1.0 / cfg.alpha_pb_st)
+        hi = (2.0 * a + 1.0) ** (1.0 / cfg.alpha_pb_st)
+        got = analysis._phi_closed_form(cfg, coeff, lo, hi)
+        assert np.array_equal(got, _phi_four_arrays(cfg, coeff, lo, hi))

@@ -118,6 +118,12 @@ class TestAnalyze:
         assert data["rows"] == report.rows
         assert data["config"]["eta"] == 0.85
 
+    def test_json_refuses_nan(self):
+        report = cmd_analyze(analysis.SystemConfig(), [0.4, 0.6])
+        report.columns["p_out"][1] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json()
+
 
 class TestSimulate:
     def test_byte_identical_for_fixed_seed(self):
@@ -296,6 +302,13 @@ class TestMain:
         [row] = rows_from_csv(captured.out)
         for column in ("phi1", "phi2", "p_tr", "p_out", "throughput"):
             assert math.isfinite(row[column])
+
+    def test_infinite_value_is_usage_error_in_json(self, capsys):
+        # d_star overflows to inf at this tau; JSON has no inf, so nothing is written
+        assert cli.main(["analyze", "--tau-grid", "1e-310:1e-310:1", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write JSON")
 
     @pytest.mark.parametrize("argv", [
         ["analyze"],
