@@ -29,7 +29,7 @@ import sys
 import numpy as np
 import pytest
 
-from ehcr import analysis, cli, fading
+from ehcr import analysis, cli, fading, validate
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
 
@@ -128,9 +128,9 @@ def test_cold_import_cli(benchmark):
 
 
 def test_suite_sim_model_agreement(benchmark):
-    notes = benchmark(cli._suite_sim_model_agreement, CFG, 1.0)
+    notes = benchmark(validate.sim_model_agreement, CFG)
     assert len(notes) == 1 and notes[0].startswith("INFO")
 
 
 def test_suite_jensen_bounds(benchmark):
-    assert benchmark(cli._suite_jensen_bounds, CFG, 1.0) == []
+    assert benchmark(validate.jensen_bounds, CFG) == []

@@ -2,11 +2,9 @@
 
 from .analysis import MetricPoint, SystemConfig
 from .fading import FadingParams
-from .numerics import AccuracySpec
 from .sim import SimEstimate
 
 __all__ = [
-    "AccuracySpec",
     "FadingParams",
     "MetricPoint",
     "SimEstimate",

@@ -20,7 +20,6 @@ from scipy import special
 
 from . import fading, numerics
 from .fading import FadingParams
-from .numerics import AccuracySpec
 
 
 def _default_link() -> FadingParams:
@@ -224,7 +223,7 @@ def phi2(cfg: SystemConfig) -> float:
     return evaluate(cfg).phi2
 
 
-def _phi_quadrature(cfg: SystemConfig, branch: int, acc: AccuracySpec) -> float:
+def _phi_quadrature(cfg: SystemConfig, branch: int) -> float:
     taus = np.array([cfg.tau])
     coeff, lo, hi = (float(v[0]) for v in _branches(cfg, taus, _d_star(cfg, taus))[branch])
     if hi <= lo:
@@ -236,17 +235,17 @@ def _phi_quadrature(cfg: SystemConfig, branch: int, acc: AccuracySpec) -> float:
     def integrand(x: float) -> float:
         return fading.survival(p, coeff * x**alpha) * 2.0 * x / norm
 
-    return numerics.integrate_adaptive(integrand, lo, hi, acc)
+    return numerics.integrate_adaptive(integrand, lo, hi)
 
 
-def phi1_quadrature(cfg: SystemConfig, acc: AccuracySpec = AccuracySpec(1e-10, 200)) -> float:
+def phi1_quadrature(cfg: SystemConfig) -> float:
     """Independent quadrature route for phi1 (oracle, not the fast path)."""
-    return _phi_quadrature(cfg, 0, acc)
+    return _phi_quadrature(cfg, 0)
 
 
-def phi2_quadrature(cfg: SystemConfig, acc: AccuracySpec = AccuracySpec(1e-10, 200)) -> float:
+def phi2_quadrature(cfg: SystemConfig) -> float:
     """Independent quadrature route for phi2 (oracle, not the fast path)."""
-    return _phi_quadrature(cfg, 1, acc)
+    return _phi_quadrature(cfg, 1)
 
 
 def j_correction(cfg: SystemConfig, l: int, d: float) -> float:

@@ -1,4 +1,5 @@
-"""Command-line front end: config ingestion, sweeps, simulation, validation.
+"""Command-line front end: config ingestion, sweeps, simulation, and the
+runner that prints the verdicts of the `ehcr.validate` suites.
 
 Config files are flat ``key = value`` lines with ``#`` comments. Powers are
 given in dBm (key suffix ``_dbm``), distances in meters, the frame duration
@@ -17,10 +18,9 @@ import time
 
 import numpy as np
 
-from . import analysis, fading, numerics, sim
+from . import analysis, numerics, sim, validate
 from .analysis import SystemConfig
 from .fading import FadingParams
-from .numerics import AccuracySpec
 
 SIM_COLUMNS = ("p_tr_mc", "p_out_mc", "thr_mc", "ci99_ptr", "ci99_pout")
 # the `sim.SimEstimate` field behind each of SIM_COLUMNS
@@ -270,218 +270,21 @@ def cmd_simulate(
     return report
 
 
-# ---------------------------------------------------------------------------
-# validation suites
-
-
-def _suite_numerics_reference(cfg, _fault):
-    problems = []
-    for s in [0.1 * i for i in range(1, 251, 10)]:
-        ref = math.exp(numerics.log_gamma(s))
-        val = numerics.upper_incomplete_gamma(s, 0.0)
-        if abs(val - ref) > 1e-12 * ref:
-            problems.append(f"Gamma(s,0) mismatch at s={s}")
-        x = 0.5 + s
-        lhs = numerics.upper_incomplete_gamma(s + 1.0, x)
-        rhs = s * numerics.upper_incomplete_gamma(s, x) + x**s * math.exp(-x)
-        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), 1e-300):
-            problems.append(f"recurrence mismatch at s={s}")
-    for n in range(1, 40):
-        if abs(numerics.digamma_integer(n + 1) - numerics.digamma_integer(n) - 1.0 / n) > 1e-12:
-            problems.append(f"digamma recurrence fails at n={n}")
-    for x in (-20.0, 0.0, 13.0, 60.0):
-        prod = numerics.dbm_to_watts(x) * numerics.dbm_to_watts(60.0 - x)
-        if abs(prod - 1.0) > 1e-12:
-            problems.append(f"dBm log-linearity fails at {x}")
-    return problems
-
-
-def _suite_fading_weights(cfg, fault):
-    problems = []
-    for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
-        link = link._with_scaled_omega(fault)
-        if abs(math.fsum(link.weights) - 1.0) > 1e-12:
-            problems.append(f"{name}: mixture weights do not sum to 1")
-        mean = math.fsum(
-            w * mj * link.omega for w, mj in zip(link.weights, link.shapes)
-        )
-        if abs(mean - 1.0) > 1e-12:
-            problems.append(f"{name}: unit-mean identity violated (mean={mean:.6g})")
-    return problems
-
-
-def _suite_fading_normalization(cfg, fault):
-    problems = []
-    acc = AccuracySpec(1e-10, 200)
-    for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
-        link = link._with_scaled_omega(fault)
-        mass = numerics.integrate_adaptive(lambda x: fading.pdf(link, x), 0.0, 50.0, acc)
-        if abs(mass - 1.0) > 1e-9:
-            problems.append(f"{name}: pdf mass {mass:.12g} != 1")
-    return problems
-
-
-def _suite_fading_sampler(cfg, _fault):
-    # imported here, so that analyze, simulate and range load no scipy.stats
-    from scipy import stats
-
-    problems = []
-    gen = np.random.default_rng(20260824)
-    for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
-        draws = fading.sample(link, gen, size=100_000)
-        result = stats.kstest(draws, lambda x: fading.cdf(link, x))
-        if result.pvalue <= 0.01:
-            problems.append(f"{name}: KS p-value {result.pvalue:.4g} <= 0.01")
-    return problems
-
-
-def _suite_phi_closed_vs_quadrature(cfg, _fault):
-    problems = []
-    for tau in [0.1 * i for i in range(1, 10)]:
-        c = cfg.with_tau(tau)
-        for label, closed, oracle in (
-            ("phi1", analysis.phi1(c), analysis.phi1_quadrature(c)),
-            ("phi2", analysis.phi2(c), analysis.phi2_quadrature(c)),
-        ):
-            tol = 1e-7 * max(abs(oracle), 1e-12)
-            if abs(closed - oracle) > tol:
-                problems.append(
-                    f"{label} at tau={tau:.1f}: closed {closed:.12g} vs quad {oracle:.12g}"
-                )
-    return problems
-
-
-def _suite_jensen_bounds(cfg, _fault):
-    problems = []
-    gen = np.random.default_rng(7_031)
-    n = 1_000_000
-    gp = fading.sample(cfg.fading_pb_st, gen, size=n)
-    gs = fading.sample(cfg.fading_st_sr, gen, size=n)
-    d_mid = 0.5 * (cfg.d_min + cfg.d_max)
-
-    def exceeds(bound, snr):
-        # the capacity tau * log2(1 + snr), in place in the snr samples
-        snr += 1.0
-        np.log2(snr, out=snr)
-        snr *= cfg.tau
-        return bound > snr.mean() + 3.0 * snr.std() / math.sqrt(n)
-
-    # eta P_b (1 - tau) gp gs / (tau N0 d_mid^a d_stsr^a_s), in gp's buffer
-    snr = gp
-    snr *= cfg.eta * cfg.p_beacon * (1.0 - cfg.tau)
-    snr *= gs
-    snr /= cfg.tau * cfg.noise_power * d_mid**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr
-    if exceeds(analysis.capacity_lower_bound(cfg, d_mid), snr):
-        problems.append("harvested-power Jensen bound exceeds Monte Carlo mean")
-    np.multiply(cfg.p_st, gs, out=snr)
-    snr /= cfg.noise_power * cfg.d_st_sr**cfg.alpha_st_sr
-    if exceeds(analysis.benchmark_capacity_lower_bound(cfg), snr):
-        problems.append("benchmark Jensen bound exceeds Monte Carlo mean")
-    return problems
-
-
-def _suite_j_magnitude(cfg, _fault):
-    problems = []
-    j2 = analysis.j_correction(cfg, 2, cfg.d_max)
-    j3 = analysis.j_correction(cfg, 3, cfg.d_max)
-    if j2 > 1e-5:
-        problems.append(f"J(2, d_max) = {j2:.3g} > 1e-5")
-    if j3 > 1e-7:
-        problems.append(f"J(3, d_max) = {j3:.3g} > 1e-7")
-    return problems
-
-
-def _suite_sim_conservation(cfg, _fault):
-    problems = []
-    gen = np.random.default_rng(99)
-    capacity = cfg.p_st_eff * cfg.t_frame
-    consumption = cfg.tau * capacity
-    d = sim.sample_distance(cfg, gen)
-    path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
-    stored = np.array([capacity])
-    idle, after_tx, level = np.empty(1), np.empty(1), np.empty(1)
-    silent = np.empty(1, dtype=bool)
-    for _ in range(500):
-        gp = fading.sample(cfg.fading_pb_st, gen)
-        was_full = stored[0] >= capacity
-        harvest_scale = (1.0 - cfg.tau) if was_full else 1.0
-        expected = min(
-            capacity,
-            stored[0] - (consumption if was_full else 0.0) + harvest_scale * path_gain * gp,
-        )
-        sim._slot_terms(
-            capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain, gp, idle, after_tx
-        )
-        sim._step_slot(stored, capacity, idle, after_tx, silent, level)
-        if stored[0] != expected:
-            problems.append("per-slot energy bookkeeping mismatch")
-            break
-        if not 0.0 <= stored[0] <= capacity:
-            problems.append("buffer bounds violated")
-            break
-    a = sim.run(cfg, 50, 200, seed=5)
-    b = sim.run(cfg, 50, 200, seed=5)
-    if a != b:
-        problems.append("simulator is not deterministic for a fixed seed")
-    return problems
-
-
-def _suite_sim_model_agreement(cfg, _fault):
-    # The renewal-mode simulator integrates exactly the closed-form model,
-    # so it must reproduce the analytic probabilities; the buffer-mode gap
-    # (multi-slot accumulation) is reported but not gated here. Both modes
-    # run on one draw of the placements and fades.
-    problems = []
-    point = analysis.evaluate(cfg)
-    estimates = sim._sweep_modes(cfg, [cfg.tau], 500, 500, 11, sim.MODES)
-    [renewal], [buffered] = estimates["slot-renewal"], estimates["buffer"]
-    tol = max(2.0 * renewal.ci99_p_out, 0.02)
-    if abs(renewal.p_out_hat - point.p_out) > tol:
-        problems.append(
-            f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point.p_out:.4f}"
-        )
-    gap = buffered.p_tr_hat - point.p_tr
-    problems.append(
-        f"INFO buffer-mode accumulation surplus: p_tr {buffered.p_tr_hat:.4f}"
-        f" vs closed form {point.p_tr:.4f} (gap {gap:+.4f})"
-    )
-    return problems
-
-
-_SUITES = (
-    ("numerics-reference", _suite_numerics_reference),
-    ("fading-weights", _suite_fading_weights),
-    ("fading-normalization", _suite_fading_normalization),
-    ("fading-sampler-ks", _suite_fading_sampler),
-    ("phi-closed-vs-quadrature", _suite_phi_closed_vs_quadrature),
-    ("jensen-bounds", _suite_jensen_bounds),
-    ("j-magnitude", _suite_j_magnitude),
-    ("sim-conservation", _suite_sim_conservation),
-    ("sim-model-agreement", _suite_sim_model_agreement),
-)
-
-
-def run_validation(cfg: SystemConfig, omega_fault_scale: float = 1.0, stream=None):
-    """Run all invariant suites; returns (verdicts, exit_code)."""
+def cmd_validate(cfg: SystemConfig, stream=None) -> int:
+    """Run the suites of `validate.SUITES`, one verdict line each; exit 0 iff all pass."""
     stream = stream if stream is not None else sys.stdout
-    verdicts = []
-    for name, suite in _SUITES:
-        notes = suite(cfg, omega_fault_scale)
+    code = 0
+    for name, suite in validate.SUITES:
+        notes = suite(cfg)
         infos = [n for n in notes if n.startswith("INFO")]
         failures = [n for n in notes if not n.startswith("INFO")]
-        passed = not failures
         detail = "; ".join(failures + infos)
-        verdicts.append({"name": name, "passed": passed, "detail": detail})
-        line = f"{'PASS' if passed else 'FAIL'}  {name}"
+        line = f"{'FAIL' if failures else 'PASS'}  {name}"
         if detail:
             line += f"  [{detail}]"
         print(line, file=stream)
-    return verdicts, (0 if all(v["passed"] for v in verdicts) else 1)
-
-
-def cmd_validate(cfg: SystemConfig, omega_fault_scale: float = 1.0, stream=None) -> int:
-    """Exit 0 iff every invariant suite passes."""
-    _, code = run_validation(cfg, omega_fault_scale, stream)
+        if failures:
+            code = 1
     return code
 
 
@@ -491,7 +294,6 @@ def cmd_validate(cfg: SystemConfig, omega_fault_scale: float = 1.0, stream=None)
 
 def _add_common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--tau-grid", default=DEFAULT_TAU_GRID, metavar="A:B:STEP")
     parser.add_argument("--L", type=int, default=None, help="beacon antenna count")
     ideal = parser.add_mutually_exclusive_group()
     ideal.add_argument("--ideal", dest="ideal", action="store_true", default=None)
@@ -517,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common_options(p)
+        if name in ("analyze", "simulate"):
+            p.add_argument("--tau-grid", default=DEFAULT_TAU_GRID, metavar="A:B:STEP")
         if name == "simulate":
             p.add_argument("--placements", type=int, default=2000)
             p.add_argument("--slots", type=int, default=2000)

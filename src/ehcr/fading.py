@@ -112,15 +112,6 @@ class FadingParams:
         return math.fsum(cj * (digamma_integer(mj) + math.log(self.omega))
                          for cj, mj in zip(self.weights, self.shapes))
 
-    def _with_scaled_omega(self, factor: float) -> "FadingParams":
-        # Fault-injection hook for the validation suite; deliberately breaks
-        # the unit-mean invariant. Not part of the public surface.
-        corrupted = object.__new__(FadingParams)
-        for name in ("rician_k", "mu", "m", "n_mix", "weights", "shapes"):
-            object.__setattr__(corrupted, name, getattr(self, name))
-        object.__setattr__(corrupted, "omega", self.omega * factor)
-        return corrupted
-
 
 def _as_nonnegative_array(x):
     arr = np.asarray(x, dtype=float)
@@ -229,21 +220,16 @@ def component_index(p: FadingParams, u):
     return j
 
 
-def component_gammas(p: FadingParams, gen: np.random.Generator, j):
-    """One gain per component index ``j``, drawn by the integer-shape gamma.
+def sample(p: FadingParams, gen: np.random.Generator, size=None):
+    """Draw gains by component choice followed by an integer-shape gamma.
 
     numpy's gamma draw is ``scale * standard_gamma(shape)``, so this is
     ``gen.gamma(shape=shapes[j], scale=omega)`` bit for bit, without the
     checks and broadcasting of the scale argument.
     """
+    j = component_index(p, gen.random(size))
     draws = gen.standard_gamma(p._shapes_float[j])
     draws *= p.omega
-    return draws
-
-
-def sample(p: FadingParams, gen: np.random.Generator, size=None):
-    """Draw gains by component choice followed by an integer-shape gamma."""
-    draws = component_gammas(p, gen, component_index(p, gen.random(size)))
     return draws if size is not None else float(draws)
 
 

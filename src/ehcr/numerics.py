@@ -1,4 +1,4 @@
-"""Special functions and unit conversions with explicit accuracy targets.
+"""Special functions, unit conversions and adaptive quadrature.
 
 Everything here is a pure function over plain floats; the rest of the
 package builds on these primitives.
@@ -7,37 +7,18 @@ package builds on these primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import special
 
 # Euler-Mascheroni constant, 20 significant digits.
 EULER_MASCHERONI = 0.57721566490153286061
+# the one accuracy target of `integrate_adaptive`
+_QUAD_RELATIVE_TOLERANCE = 1e-10
+_QUAD_SUBDIVISIONS = 200
 
 
 class IntegrationError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Accuracy contract shared by all quadrature-based oracles."""
-
-    relative_tolerance: float = 1e-10
-    max_quadrature_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.relative_tolerance <= 1e-8:
-            raise ValueError("relative_tolerance must be in (0, 1e-8]")
-        if self.max_quadrature_subdivisions < 1:
-            raise ValueError("max_quadrature_subdivisions must be positive")
-
-
-def log_gamma(s: float) -> float:
-    """Natural log of the gamma function for positive real argument."""
-    if s <= 0.0:
-        raise ValueError(f"log_gamma requires s > 0, got {s}")
-    return math.lgamma(s)
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
@@ -63,8 +44,8 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def integrate_adaptive(f, a: float, b: float, acc: AccuracySpec = AccuracySpec()) -> float:
-    """Definite integral of f on [a, b] to acc.relative_tolerance."""
+def integrate_adaptive(f, a: float, b: float) -> float:
+    """Definite integral of f on [a, b] to a relative `_QUAD_RELATIVE_TOLERANCE`."""
     if a > b:
         raise ValueError(f"requires a <= b, got a={a}, b={b}")
     if a == b:
@@ -78,8 +59,8 @@ def integrate_adaptive(f, a: float, b: float, acc: AccuracySpec = AccuracySpec()
         a,
         b,
         epsabs=1e-300,
-        epsrel=acc.relative_tolerance,
-        limit=acc.max_quadrature_subdivisions,
+        epsrel=_QUAD_RELATIVE_TOLERANCE,
+        limit=_QUAD_SUBDIVISIONS,
         full_output=1,
     )
     if rest:  # scipy appends a message (and possibly more) on failure

@@ -1,0 +1,198 @@
+"""Invariant suites behind ``ehcr validate``.
+
+Each suite takes a `SystemConfig` and returns a list of notes: a note is a
+failure unless it starts with ``INFO``. `SUITES` lists them, by the name
+that ``ehcr validate`` prints, in the order in which it runs them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import analysis, fading, numerics, sim
+
+
+def numerics_reference(cfg):
+    problems = []
+    for s in [0.1 * i for i in range(1, 251, 10)]:
+        ref = math.exp(math.lgamma(s))
+        val = numerics.upper_incomplete_gamma(s, 0.0)
+        if abs(val - ref) > 1e-12 * ref:
+            problems.append(f"Gamma(s,0) mismatch at s={s}")
+        x = 0.5 + s
+        lhs = numerics.upper_incomplete_gamma(s + 1.0, x)
+        rhs = s * numerics.upper_incomplete_gamma(s, x) + x**s * math.exp(-x)
+        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), 1e-300):
+            problems.append(f"recurrence mismatch at s={s}")
+    for n in range(1, 40):
+        if abs(numerics.digamma_integer(n + 1) - numerics.digamma_integer(n) - 1.0 / n) > 1e-12:
+            problems.append(f"digamma recurrence fails at n={n}")
+    for x in (-20.0, 0.0, 13.0, 60.0):
+        prod = numerics.dbm_to_watts(x) * numerics.dbm_to_watts(60.0 - x)
+        if abs(prod - 1.0) > 1e-12:
+            problems.append(f"dBm log-linearity fails at {x}")
+    return problems
+
+
+def fading_weights(cfg):
+    problems = []
+    for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
+        if abs(math.fsum(link.weights) - 1.0) > 1e-12:
+            problems.append(f"{name}: mixture weights do not sum to 1")
+        mean = math.fsum(
+            w * mj * link.omega for w, mj in zip(link.weights, link.shapes)
+        )
+        if abs(mean - 1.0) > 1e-12:
+            problems.append(f"{name}: unit-mean identity violated (mean={mean:.6g})")
+    return problems
+
+
+def fading_normalization(cfg):
+    problems = []
+    for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
+        mass = numerics.integrate_adaptive(lambda x: fading.pdf(link, x), 0.0, 50.0)
+        if abs(mass - 1.0) > 1e-9:
+            problems.append(f"{name}: pdf mass {mass:.12g} != 1")
+    return problems
+
+
+def fading_sampler(cfg):
+    # imported here, so that analyze, simulate and range load no scipy.stats
+    from scipy import stats
+
+    problems = []
+    gen = np.random.default_rng(20260824)
+    for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
+        draws = fading.sample(link, gen, size=100_000)
+        result = stats.kstest(draws, lambda x: fading.cdf(link, x))
+        if result.pvalue <= 0.01:
+            problems.append(f"{name}: KS p-value {result.pvalue:.4g} <= 0.01")
+    return problems
+
+
+def phi_closed_vs_quadrature(cfg):
+    problems = []
+    for tau in [0.1 * i for i in range(1, 10)]:
+        c = cfg.with_tau(tau)
+        for label, closed, oracle in (
+            ("phi1", analysis.phi1(c), analysis.phi1_quadrature(c)),
+            ("phi2", analysis.phi2(c), analysis.phi2_quadrature(c)),
+        ):
+            tol = 1e-7 * max(abs(oracle), 1e-12)
+            if abs(closed - oracle) > tol:
+                problems.append(
+                    f"{label} at tau={tau:.1f}: closed {closed:.12g} vs quad {oracle:.12g}"
+                )
+    return problems
+
+
+def jensen_bounds(cfg):
+    problems = []
+    gen = np.random.default_rng(7_031)
+    n = 1_000_000
+    gp = fading.sample(cfg.fading_pb_st, gen, size=n)
+    gs = fading.sample(cfg.fading_st_sr, gen, size=n)
+    d_mid = 0.5 * (cfg.d_min + cfg.d_max)
+
+    def exceeds(bound, snr):
+        # the capacity tau * log2(1 + snr), in place in the snr samples
+        snr += 1.0
+        np.log2(snr, out=snr)
+        snr *= cfg.tau
+        return bound > snr.mean() + 3.0 * snr.std() / math.sqrt(n)
+
+    # eta P_b (1 - tau) gp gs / (tau N0 d_mid^a d_stsr^a_s), in gp's buffer
+    snr = gp
+    snr *= cfg.eta * cfg.p_beacon * (1.0 - cfg.tau)
+    snr *= gs
+    snr /= cfg.tau * cfg.noise_power * d_mid**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr
+    if exceeds(analysis.capacity_lower_bound(cfg, d_mid), snr):
+        problems.append("harvested-power Jensen bound exceeds Monte Carlo mean")
+    np.multiply(cfg.p_st, gs, out=snr)
+    snr /= cfg.noise_power * cfg.d_st_sr**cfg.alpha_st_sr
+    if exceeds(analysis.benchmark_capacity_lower_bound(cfg), snr):
+        problems.append("benchmark Jensen bound exceeds Monte Carlo mean")
+    return problems
+
+
+def j_magnitude(cfg):
+    problems = []
+    j2 = analysis.j_correction(cfg, 2, cfg.d_max)
+    j3 = analysis.j_correction(cfg, 3, cfg.d_max)
+    if j2 > 1e-5:
+        problems.append(f"J(2, d_max) = {j2:.3g} > 1e-5")
+    if j3 > 1e-7:
+        problems.append(f"J(3, d_max) = {j3:.3g} > 1e-7")
+    return problems
+
+
+def sim_conservation(cfg):
+    problems = []
+    gen = np.random.default_rng(99)
+    capacity = cfg.p_st_eff * cfg.t_frame
+    consumption = cfg.tau * capacity
+    d = sim.sample_distance(cfg, gen)
+    path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
+    stored = np.array([capacity])
+    idle, after_tx, level = np.empty(1), np.empty(1), np.empty(1)
+    silent = np.empty(1, dtype=bool)
+    for _ in range(500):
+        gp = fading.sample(cfg.fading_pb_st, gen)
+        was_full = stored[0] >= capacity
+        harvest_scale = (1.0 - cfg.tau) if was_full else 1.0
+        expected = min(
+            capacity,
+            stored[0] - (consumption if was_full else 0.0) + harvest_scale * path_gain * gp,
+        )
+        sim._slot_terms(
+            capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain, gp, idle, after_tx
+        )
+        sim._step_slot(stored, capacity, idle, after_tx, silent, level)
+        if stored[0] != expected:
+            problems.append("per-slot energy bookkeeping mismatch")
+            break
+        if not 0.0 <= stored[0] <= capacity:
+            problems.append("buffer bounds violated")
+            break
+    a = sim.run(cfg, 50, 200, seed=5)
+    b = sim.run(cfg, 50, 200, seed=5)
+    if a != b:
+        problems.append("simulator is not deterministic for a fixed seed")
+    return problems
+
+
+def sim_model_agreement(cfg):
+    # The renewal-mode simulator integrates exactly the closed-form model,
+    # so it must reproduce the analytic probabilities; the buffer-mode gap
+    # (multi-slot accumulation) is reported but not gated here. Both modes
+    # run on one draw of the placements and fades.
+    problems = []
+    point = analysis.evaluate(cfg)
+    estimates = sim._sweep_modes(cfg, [cfg.tau], 500, 500, 11, sim.MODES)
+    [renewal], [buffered] = estimates["slot-renewal"], estimates["buffer"]
+    tol = max(2.0 * renewal.ci99_p_out, 0.02)
+    if abs(renewal.p_out_hat - point.p_out) > tol:
+        problems.append(
+            f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point.p_out:.4f}"
+        )
+    gap = buffered.p_tr_hat - point.p_tr
+    problems.append(
+        f"INFO buffer-mode accumulation surplus: p_tr {buffered.p_tr_hat:.4f}"
+        f" vs closed form {point.p_tr:.4f} (gap {gap:+.4f})"
+    )
+    return problems
+
+
+SUITES = (
+    ("numerics-reference", numerics_reference),
+    ("fading-weights", fading_weights),
+    ("fading-normalization", fading_normalization),
+    ("fading-sampler-ks", fading_sampler),
+    ("phi-closed-vs-quadrature", phi_closed_vs_quadrature),
+    ("jensen-bounds", jensen_bounds),
+    ("j-magnitude", j_magnitude),
+    ("sim-conservation", sim_conservation),
+    ("sim-model-agreement", sim_model_agreement),
+)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ehcr import analysis, cli, sim
+from ehcr import analysis, cli, sim, validate
 from ehcr.cli import (
     ConfigError,
     build_config,
@@ -20,6 +20,7 @@ from ehcr.cli import (
     parse_tau_grid,
     rows_from_csv,
 )
+from ehcr.fading import FadingParams
 
 
 class TestLoadConfig:
@@ -167,8 +168,10 @@ class TestValidate:
 
     def test_corrupted_omega_detected(self):
         # scaling omega keeps a valid density but breaks the unit-mean identity
+        link = FadingParams(7.0, 1, 20)
+        object.__setattr__(link, "omega", 1.1 * link.omega)
         stream = io.StringIO()
-        code = cmd_validate(analysis.SystemConfig(), omega_fault_scale=1.1, stream=stream)
+        code = cmd_validate(analysis.SystemConfig(fading_pb_st=link, fading_st_sr=link), stream)
         output = stream.getvalue()
         assert code == 1
         assert "FAIL  fading-weights" in output
@@ -179,7 +182,7 @@ class TestValidate:
     ])
     def test_jensen_suite_gates_each_bound(self, monkeypatch, name, problem):
         monkeypatch.setattr(analysis, name, lambda *args: math.inf)
-        assert cli._suite_jensen_bounds(analysis.SystemConfig(), 1.0) == [problem]
+        assert validate.jensen_bounds(analysis.SystemConfig()) == [problem]
 
 
 class TestMain:
@@ -200,6 +203,23 @@ class TestMain:
         assert capsys.readouterr().out == ""
         lines = out.read_text().splitlines()
         assert len(lines) == 9 and all(line.startswith("PASS  ") for line in lines)
+
+    def test_validate_prints_suites_in_order(self, capsys):
+        assert cli.main(["validate"]) == 0
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert names == [
+            "numerics-reference", "fading-weights", "fading-normalization",
+            "fading-sampler-ks", "phi-closed-vs-quadrature", "jensen-bounds",
+            "j-magnitude", "sim-conservation", "sim-model-agreement",
+        ]
+
+    @pytest.mark.parametrize("command", ["range", "validate"])
+    def test_tau_grid_is_not_an_option(self, capsys, command):
+        # only analyze and simulate sweep a tau grid
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--tau-grid", "nonsense"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["range", "validate"])
     def test_json_format_is_usage_error_without_json_form(self, tmp_path, capsys, command):
@@ -347,7 +367,7 @@ import contextlib, io, json, sys
 def loaded():
     return {name: name in sys.modules for name in ("scipy.stats", "scipy.integrate")}
 
-from ehcr import analysis, cli, numerics
+from ehcr import analysis, cli, numerics, validate
 result = {"after_import": loaded(), "exit_codes": {}}
 for name, argv in (
     ("range", ["range"]),
@@ -361,7 +381,7 @@ for name, argv in (
 result["after_commands"] = loaded()
 result["integral"] = numerics.integrate_adaptive(lambda x: x * x, 0.0, 3.0)
 result["after_integrate"] = loaded()
-result["sampler_problems"] = cli._suite_fading_sampler(analysis.SystemConfig(), 1.0)
+result["sampler_problems"] = validate.fading_sampler(analysis.SystemConfig())
 result["after_sampler"] = loaded()
 print(json.dumps(result))
 """

@@ -9,7 +9,7 @@ from scipy import special, stats
 
 from ehcr import fading
 from ehcr.fading import FadingParams
-from ehcr.numerics import AccuracySpec, integrate_adaptive
+from ehcr.numerics import integrate_adaptive
 
 # mpmath references (40 digits) for K=7, mu=1, m=20
 PDF_AT_1 = 0.7434319984178851
@@ -71,7 +71,7 @@ class TestPdf:
     @pytest.mark.parametrize("mu,m", [(1, 1), (1, 20), (2, 11), (16, 20)])
     def test_normalization(self, k, mu, m):
         p = FadingParams(k, mu, m)
-        mass = integrate_adaptive(lambda x: fading.pdf(p, x), 0.0, 50.0, AccuracySpec())
+        mass = integrate_adaptive(lambda x: fading.pdf(p, x), 0.0, 50.0)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_negative_argument(self):

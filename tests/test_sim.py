@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize, stats
 
-from ehcr import analysis, cli, fading, sim
+from ehcr import analysis, fading, sim, validate
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
 from ehcr.sim import SimConfigurationError
@@ -422,7 +422,7 @@ class TestSweepModes:
             f"INFO buffer-mode accumulation surplus: p_tr {buffered.p_tr_hat:.4f}"
             f" vs closed form {point.p_tr:.4f} (gap {gap:+.4f})"
         )
-        assert cli._suite_sim_model_agreement(cfg, 1.0) == expected
+        assert validate.sim_model_agreement(cfg) == expected
 
 
 # (antennas, split, placements); the three-placement cases keep their
