@@ -34,13 +34,16 @@ ROUNDS = 15
 pytestmark = pytest.mark.benchmark(min_rounds=ROUNDS)
 
 
+def _chunk_edges(n_total):
+    return [*range(0, n_total, sim._CHUNK), n_total]
+
+
 def _streams(n_placements, n_total):
     """Distances, every harvest chunk, and the generators standing at the link streams."""
-    distances, uniform_states, gens = sim.placement_streams(CFG, n_placements, n_total, SEED)
-    edges = sim._slot_edges(n_total, sim._CHUNK)
+    distances, readers, gens = sim.placement_streams(CFG, n_placements, n_total, SEED)
     chunks = [
         (lo, gains.copy())
-        for lo, gains in sim._gain_chunks(CFG.fading_pb_st, uniform_states, gens, edges)
+        for lo, gains in sim._gain_chunks(CFG.fading_pb_st, readers, gens, _chunk_edges(n_total))
     ]
     return distances, chunks, gens
 
@@ -51,8 +54,7 @@ def _draw(taus, n_placements, n_slots):
     n_total = warmup + n_slots
     distances, chunks, gens = _streams(n_placements, n_total)
     tx = np.zeros((len(taus), n_placements), dtype=np.int64)
-    blocks = sim._slot_edges(n_total, sim._BLOCK)
-    sim._buffer_counts(CFG, np.asarray(taus), distances, iter(chunks), blocks, warmup, tx)
+    sim._buffer_counts(CFG, np.asarray(taus), distances, chunks, warmup, tx)
     successes = list(sim._link_successes(CFG, gens, n_total, tx.max(axis=0)))
     return distances, chunks, successes
 
@@ -74,9 +76,8 @@ def test_harvest_read_long(benchmark):
     n_total = sim.warmup_slots(25_000) + 25_000
 
     def fresh_streams():
-        _, uniform_states, gens = sim.placement_streams(CFG, 200, n_total, SEED)
-        edges = sim._slot_edges(n_total, sim._CHUNK)
-        return (CFG.fading_pb_st, uniform_states, gens, edges), {}
+        _, readers, gens = sim.placement_streams(CFG, 200, n_total, SEED)
+        return (CFG.fading_pb_st, readers, gens, _chunk_edges(n_total)), {}
 
     def read(*args):
         return sum(len(gains) for _, gains in sim._gain_chunks(*args))

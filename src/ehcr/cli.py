@@ -53,6 +53,8 @@ _INT_KEYS = {"L", "m", "m_s"}
 _BOOL_KEYS = {"ideal"}
 
 DEFAULT_TAU_GRID = "0.05:0.95:0.05"
+# most points a tau grid may hold; a larger one is refused before it is built
+_MAX_TAU_POINTS = 100_000
 _CSV_BLOCK_ROWS = 128
 
 
@@ -62,7 +64,7 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass
 class RunReport:
-    """Sweep output plus provenance: config echo, columns, verdicts, timing.
+    """Sweep output plus provenance: config echo, columns, timing.
 
     ``columns`` maps each output column, in CSV order, to a float array with
     one entry per row, as `analysis.sweep_columns` returns them; ``rows`` is
@@ -71,7 +73,6 @@ class RunReport:
 
     config: dict
     columns: dict
-    validation: list
     duration_s: float
 
     @property
@@ -97,7 +98,6 @@ class RunReport:
             {
                 "config": self.config,
                 "rows": self.rows,
-                "validation": self.validation,
                 "duration_s": self.duration_s,
             },
             indent=2,
@@ -230,8 +230,11 @@ def parse_tau_grid(spec: str) -> list:
         raise ConfigError(f"bad tau grid {spec!r}; a, b and step must be finite")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"bad tau grid {spec!r}; need step > 0 and b >= a")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + i * step for i in range(n)]
+    # the grid holds floor(steps) + 1 points; an infinite quotient fails the test too
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_TAU_POINTS:
+        raise ConfigError(f"bad tau grid {spec!r}; more than {_MAX_TAU_POINTS} points")
+    grid = [start + i * step for i in range(int(steps) + 1)]
     for t in grid:
         if not 0.0 < t < 1.0:
             raise ConfigError(f"tau grid value {t} outside (0, 1)")
@@ -248,7 +251,6 @@ def cmd_analyze(cfg: SystemConfig, tau_grid) -> RunReport:
     return RunReport(
         config=config_echo(cfg),
         columns=columns,
-        validation=[],
         duration_s=time.perf_counter() - started,
     )
 

@@ -39,15 +39,16 @@ distance and its buffer, and come from the spread inside each stratum:
 ``var = Σ_k (n_k/n)² s_k² / n_k``, which for a pair is ``(f_a − f_b)² / n²``.
 That needs at least two placements.
 
-Each placement's generator yields, in order, the uniform that places its
+Each placement's stream yields, in order, the uniform that places its
 distance inside its stratum, ``n_total`` component uniforms and ``n_total``
 gammas of the harvest link, then the ST-SR link stream laid out the same
-way. The harvest stream is read from two positions: a copy of the PCG64
-state reads the uniforms, and the generator itself, advanced by ``n_total``
-(one 64-bit output per uniform), reads the gammas. Its gains are read in
-slot chunks of ``_CHUNK``, which join into exactly the eager draw, so gain
-memory is O(placements × chunk). The link stream is read whole, so its
-generator reads its uniforms itself and then skips the rest of them. Both
+way. Two generators on the placement's seed read the harvest stream: a
+reader takes the distance uniform and then the component uniforms, and the
+generator proper, advanced by ``1 + n_total`` (one 64-bit output per
+uniform), takes the gammas. Its gains are read in slot chunks of
+``_CHUNK``, which join into exactly the eager draw, so gain memory is
+O(placements × chunk). The link stream is read whole, so the generator
+reads its uniforms itself and then skips the rest of them. Both
 streams are read a group of placements at a time, about ``_GROUP_DOUBLES``
 values per group: the group's uniforms go into one buffer, and one call of
 `fading.component_index`, a table lookup that equals ``Generator.choice``'s
@@ -55,8 +56,9 @@ search of the weight CDF, maps them to gamma shapes. Each generator then
 draws its ``standard_gamma(shape)``, and one multiplication by ``omega``
 follows, which is numpy's ``gamma(shape, omega)`` bit for bit without its
 scale argument's checks. The harvest gains land in a placement-major
-buffer that the slot loop reads transposed. The slot loop records,
-per (tau, placement), how many measured slots transmit. A slot's link gain
+buffer that the slot loop reads transposed, ``_BLOCK`` slots of the chunk
+at a time. The slot loop records, per (tau, placement), how many measured
+slots transmit. A slot's link gain
 matters only if it transmits, so the j-th measured transmission of a
 placement gets the j-th gain of its link stream, and only as many link
 gains are drawn as the placement's largest transmit count over the grid
@@ -82,7 +84,8 @@ _Z99 = 2.5758293035489004
 
 MODES = ("buffer", "slot-renewal")
 
-# slots of harvest gain drawn per placement at a time; a multiple of _BLOCK
+# slots of harvest gain drawn per placement at a time; a multiple of _BLOCK, so
+# that the blocks of a chunk are all full but the run's last
 _CHUNK = 2048
 # slots per block of the buffer update
 _BLOCK = 32
@@ -132,37 +135,35 @@ def _stratum(i: int, n_placements: int):
 
 
 def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: int):
-    """Per-placement distances and the two read positions of each harvest stream.
+    """Per-placement distances and the two readers of each harvest stream.
 
-    Each placement owns a generator seeded from (seed, placement index), so
+    Each placement's stream is seeded from (seed, placement index), so
     results are independent of execution order and bit-reproducible. Its
     first uniform places its distance inside its stratum's slice of the
     annulus CDF. Then the stream holds ``n_total`` component uniforms, the
     ``n_total`` harvest gammas and the ST-SR link stream. Returns the
-    distances, each placement's uniform read position (a PCG64 state) and its
-    generator, advanced past the uniforms to where the gammas start.
+    distances, each placement's uniform reader, which stands at its
+    component uniforms, and its generator, which stands where the gammas
+    start. Both are built from one `SeedSequence`, so they share the stream.
     """
     distances = np.empty(n_placements)
-    uniform_states = []
+    readers = []
     gens = []
     for i in range(n_placements):
-        gen = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        seq = np.random.SeedSequence([int(seed), i])
+        reader = np.random.Generator(np.random.PCG64(seq))
         start, size = _stratum(i, n_placements)
-        distances[i] = _distance(cfg, (start + size * gen.random()) / n_placements)
-        uniform_states.append(gen.bit_generator.state)
+        distances[i] = _distance(cfg, (start + size * reader.random()) / n_placements)
+        readers.append(reader)
+        gen = np.random.default_rng(seq)
         # one 64-bit output per uniform double
-        gen.bit_generator.advance(n_total)
+        gen.bit_generator.advance(1 + n_total)
         gens.append(gen)
-    return distances, uniform_states, gens
+    return distances, readers, gens
 
 
 def warmup_slots(n_slots: int) -> int:
     return max(100, n_slots // 10)
-
-
-def _slot_edges(n_total: int, step: int):
-    """Edges of the slot range ``[0, n_total)`` every ``step`` slots."""
-    return [*range(0, n_total, step), n_total]
 
 
 def _fill_shapes(p, uniforms, out):
@@ -172,17 +173,15 @@ def _fill_shapes(p, uniforms, out):
     np.take(p._shapes_float, fading.component_index(p, uniforms), out=out, mode="clip")
 
 
-def _gain_chunks(p, uniform_states, gens, chunks):
+def _gain_chunks(p, readers, gens, chunks):
     """Yield ``(first slot, gains)`` per chunk, gains slot-major ``(slots, placements)``.
 
-    Each chunk but the last moves on the placements' uniform positions in
-    ``uniform_states``. The placements are read a group at a time: the shared
-    reader writes each one's uniforms into a row of the group buffer, one
-    lookup maps the whole group to gamma shapes, and each generator draws
-    its gammas into its row of a placement-major gain buffer. The yielded
-    gains are that buffer's transposed view.
+    The placements are read a group at a time: each placement's reader
+    writes its uniforms into a row of the group buffer, one lookup maps the
+    whole group to gamma shapes, and each generator draws its gammas into
+    its row of a placement-major gain buffer. The yielded gains are that
+    buffer's transposed view.
     """
-    reader = np.random.Generator(np.random.PCG64(0))
     width = max(np.diff(chunks))
     group = max(1, _GROUP_DOUBLES // width)
     # the uniforms of a group, then in place their gamma shapes
@@ -197,10 +196,7 @@ def _gain_chunks(p, uniform_states, gens, chunks):
             rows = range(first, min(first + group, len(gens)))
             u = uniforms[:len(rows) * n].reshape(len(rows), n)
             for i, row in zip(rows, u):
-                reader.bit_generator.state = uniform_states[i]
-                reader.random(out=row)
-                if hi < chunks[-1]:
-                    uniform_states[i] = reader.bit_generator.state
+                readers[i].random(out=row)
             _fill_shapes(p, u, u)
             for i, shape in zip(rows, u):
                 gens[i].standard_gamma(shape, out=gains[i, :n])
@@ -247,12 +243,12 @@ def _step_slot(stored, capacity, idle, after_tx, silent, level):
     np.minimum(stored, level, out=stored)
 
 
-def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
+def _buffer_counts(cfg, taus, distances, chunks, warmup, tx):
     """Run the energy buffers; add to ``tx`` the measured slots that transmit.
 
     One `_step_slot` per slot carries every tau's buffer state; the per-slot
-    levels are filled a block at a time. ``tx_gain`` = (1 - tau) * path_gain
-    is the harvest scale of a transmit slot.
+    levels are filled ``_BLOCK`` slots of a chunk at a time. ``tx_gain`` =
+    (1 - tau) * path_gain is the harvest scale of a transmit slot.
     """
     t = cfg.t_frame
     capacity = cfg.p_st_eff * t
@@ -268,19 +264,17 @@ def _buffer_counts(cfg, taus, distances, chunks, blocks, warmup, tx):
     # tuples once; a 0-d capacity spares each ufunc call converting a float
     ceiling = np.array(capacity)
     slots = [(stored, ceiling, *views, level) for views in zip(idle, after_tx, silent)]
-    lo, gains = next(chunks)
-    for a, b in zip(blocks, blocks[1:]):
-        if a == lo + len(gains):
-            lo, gains = next(chunks)
-        n = b - a
-        _slot_terms(capacity, consumption, path_gain, tx_gain,
-                    gains[a - lo:b - lo, None], idle[:n], after_tx[:n])
-        for args in slots[:n]:
-            _step_slot(*args)
-        if b > warmup:
-            first = max(warmup - a, 0)
-            tx += n - first
-            tx -= silent[first:n].sum(axis=0)
+    for lo, gains in chunks:
+        for a in range(0, len(gains), _BLOCK):
+            block = gains[a:a + _BLOCK, None]
+            n = len(block)
+            _slot_terms(capacity, consumption, path_gain, tx_gain, block, idle[:n], after_tx[:n])
+            for args in slots[:n]:
+                _step_slot(*args)
+            first = max(warmup - lo - a, 0)
+            if first < n:
+                tx += n - first
+                tx -= silent[first:n].sum(axis=0)
 
 
 def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
@@ -420,15 +414,14 @@ def _sweep_modes(cfg: SystemConfig, taus, n_placements: int, n_slots: int, seed:
 
     warmup = warmup_slots(n_slots)
     n_total = warmup + n_slots
-    distances, uniform_states, gens = placement_streams(cfg, n_placements, n_total, seed)
+    distances, readers, gens = placement_streams(cfg, n_placements, n_total, seed)
     # measured slots that transmit, per mode and (tau, placement)
     tx = {mode: np.zeros((len(taus), n_placements), dtype=np.int64) for mode in modes}
-    chunks = _gain_chunks(cfg.fading_pb_st, uniform_states, gens, _slot_edges(n_total, _CHUNK))
+    chunks = _gain_chunks(cfg.fading_pb_st, readers, gens, [*range(0, n_total, _CHUNK), n_total])
     if "slot-renewal" in tx:
         chunks = _renewal_counts(cfg, taus, distances, chunks, warmup, tx["slot-renewal"])
     if "buffer" in tx:
-        _buffer_counts(cfg, taus, distances, chunks, _slot_edges(n_total, _BLOCK), warmup,
-                       tx["buffer"])
+        _buffer_counts(cfg, taus, distances, chunks, warmup, tx["buffer"])
     # run the chunks to their end: this drives the renewal counter when no buffer
     # counter pulls them, and the finished generators free the chunk buffer
     for _ in chunks:

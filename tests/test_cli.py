@@ -80,10 +80,15 @@ class TestLoadConfig:
 class TestTauGrid:
     def test_parse(self):
         assert parse_tau_grid("0.1:0.9:0.2") == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
+        # a step of 2**-17 keeps the point count exact
+        step = 2.0**-17
+        assert len(parse_tau_grid(f"{step}:{100_000 * step}:{step}")) == 100_000
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_tau_grid("0.0:0.9:0.1")
+        with pytest.raises(ConfigError, match="more than 100000 points"):
+            parse_tau_grid(f"{2.0**-17}:{100_001 * 2.0**-17}:{2.0**-17}")
         with pytest.raises(ConfigError):
             parse_tau_grid("0.5:0.4:0.1")
         with pytest.raises(ConfigError):
@@ -241,7 +246,7 @@ class TestMain:
         code = cli.main(["analyze", "--tau-grid", "0.5:0.5:0.1", "--format", "json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert set(data) == {"config", "rows", "validation", "duration_s"}
+        assert set(data) == {"config", "rows", "duration_s"}
 
     def test_multi_antenna_improves_outage(self, tmp_path):
         out1 = tmp_path / "l1.csv"
@@ -304,12 +309,16 @@ class TestMain:
         assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
+        # tau * p_st_eff underflows to 0, so the effective range would divide by 0
         ["analyze", "--tau-grid", "5e-324:5e-324:1"],
         ["range", "--tau", "5e-324"],
         ["simulate", "--tau-grid", "5e-324:5e-324:1", "--placements", "4", "--slots", "10"],
+        # steps too small for a grid, refused before any point is built: the
+        # point count overflows a float, or would fill memory
+        ["analyze", "--tau-grid", "0.1:0.9:5e-324"],
+        ["analyze", "--tau-grid", "0.1:0.9:1e-300"],
     ])
     def test_tau_with_no_spend_is_usage_error(self, capsys, argv):
-        # tau * p_st_eff underflows to 0, so the effective range would divide by 0
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -260,11 +260,14 @@ class TestRun:
         with pytest.raises(SimConfigurationError):
             sim.run(cfg, 10, 10, seed=1, mode="bogus")
 
-    def test_matches_scalar_reference_loop(self):
+    @pytest.mark.parametrize("chunk", [sim._CHUNK, 64], ids=["default", "64"])
+    def test_matches_scalar_reference_loop(self, monkeypatch, chunk):
         # replay each placement one slot at a time from its eager reference
         # draws: the j-th measured transmission takes the j-th link gain. The
         # link fails about half the time, so a slot given the wrong link gain
-        # changes the outage count.
+        # changes the outage count. Chunks of 64 slots end the 100-slot
+        # warm-up inside a block of the second chunk, and the last is short.
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
         cfg = link_limited_config()
         n_placements, n_slots, seed = 25, 60, 77
         warmup = sim.warmup_slots(n_slots)
@@ -444,8 +447,8 @@ class TestGainStream:
         cfg = link_limited_config(fading_pb_st=fading_params, fading_st_sr=fading_params)
         n_total, seed = 1_100, 41
         edges = [*range(0, n_total, split or n_total), n_total]
-        distances, uniform_states, gens = sim.placement_streams(cfg, n_placements, n_total, seed)
-        chunks = sim._gain_chunks(cfg.fading_pb_st, uniform_states, gens, edges)
+        distances, readers, gens = sim.placement_streams(cfg, n_placements, n_total, seed)
+        chunks = sim._gain_chunks(cfg.fading_pb_st, readers, gens, edges)
         joined = np.concatenate([gains.copy() for _, gains in chunks])
         # the generators now stand at the link streams; read a different
         # prefix of each
@@ -465,8 +468,8 @@ class TestGainStream:
         cfg = link_limited_config()
 
         def successes(n_placements, n_total, most):
-            _, states, gens = sim.placement_streams(cfg, n_placements, n_total, seed=5)
-            for _ in sim._gain_chunks(cfg.fading_pb_st, states, gens, [0, n_total]):
+            _, readers, gens = sim.placement_streams(cfg, n_placements, n_total, seed=5)
+            for _ in sim._gain_chunks(cfg.fading_pb_st, readers, gens, [0, n_total]):
                 pass
             return list(sim._link_successes(cfg, gens, n_total, np.array(most)))
 
