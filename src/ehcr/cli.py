@@ -234,11 +234,7 @@ def parse_tau_grid(spec: str) -> list:
     steps = (stop - start) / step + 1e-9
     if not steps < _MAX_TAU_POINTS:
         raise ConfigError(f"bad tau grid {spec!r}; more than {_MAX_TAU_POINTS} points")
-    grid = [start + i * step for i in range(int(steps) + 1)]
-    for t in grid:
-        if not 0.0 < t < 1.0:
-            raise ConfigError(f"tau grid value {t} outside (0, 1)")
-    return grid
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def cmd_analyze(cfg: SystemConfig, tau_grid) -> RunReport:
@@ -294,18 +290,6 @@ def cmd_validate(cfg: SystemConfig, stream=None) -> int:
 # argument parsing and entry point
 
 
-def _add_common_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--L", type=int, default=None, help="beacon antenna count")
-    ideal = parser.add_mutually_exclusive_group()
-    ideal.add_argument("--ideal", dest="ideal", action="store_true", default=None)
-    ideal.add_argument("--non-ideal", dest="ideal", action="store_false")
-    parser.add_argument("--rate", type=float, default=None, help="target rate, bps/Hz")
-    parser.add_argument("--tau", type=float, default=None, help="switching time")
-    parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehcr",
@@ -319,10 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "run all invariant suites"),
         ("range", "print the effective harvesting range in meters"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_options(p)
+        # each command takes only the options it reads; a config flag's dest is
+        # its CONFIG_DEFAULTS key, which is how `_config_from_args` finds it
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", metavar="PATH", help="key=value config file")
+        p.add_argument("--L", type=int, help="beacon antenna count")
+        ideal = p.add_mutually_exclusive_group()
+        ideal.add_argument("--ideal", action="store_true", default=None)
+        ideal.add_argument("--non-ideal", dest="ideal", action="store_false")
+        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        if name in ("analyze", "simulate", "validate"):
+            p.add_argument("--rate", dest="R", type=float, help="target rate, bps/Hz")
+        if name in ("range", "validate"):
+            p.add_argument("--tau", type=float, help="switching time")
         if name in ("analyze", "simulate"):
             p.add_argument("--tau-grid", default=DEFAULT_TAU_GRID, metavar="A:B:STEP")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "simulate":
             p.add_argument("--placements", type=int, default=2000)
             p.add_argument("--slots", type=int, default=2000)
@@ -332,14 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> SystemConfig:
     values = _read_config_values(args.config) if args.config else dict(CONFIG_DEFAULTS)
-    if args.L is not None:
-        values["L"] = args.L
-    if args.ideal is not None:
-        values["ideal"] = args.ideal
-    if args.rate is not None:
-        values["R"] = args.rate
-    if args.tau is not None:
-        values["tau"] = args.tau
+    values.update(
+        (key, value) for key, value in vars(args).items()
+        if key in CONFIG_DEFAULTS and value is not None
+    )
     return build_config(values)
 
 
@@ -354,8 +346,6 @@ def _write(text: str, args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("range", "validate") and args.format == "json":
-            raise ConfigError(f"{args.command} has no JSON form; use --format csv")
         cfg = _config_from_args(args)
         if args.command == "range":
             _write(format(analysis.effective_range(cfg), ".12g") + "\n", args)

@@ -119,12 +119,15 @@ def jensen_bounds(cfg):
 
 def j_magnitude(cfg):
     problems = []
-    j2 = analysis.j_correction(cfg, 2, cfg.d_max)
-    j3 = analysis.j_correction(cfg, 3, cfg.d_max)
-    if j2 > 1e-5:
-        problems.append(f"J(2, d_max) = {j2:.3g} > 1e-5")
-    if j3 > 1e-7:
-        problems.append(f"J(3, d_max) = {j3:.3g} > 1e-7")
+    m = cfg.fading_pb_st.m
+    for l, bound in ((2, "1e-5"), (3, "1e-7")):
+        # `analysis.j_correction` is defined only for l <= m
+        if l > m:
+            problems.append(f"INFO J({l}, d_max) skipped: m = {m} < {l}")
+            continue
+        j = analysis.j_correction(cfg, l, cfg.d_max)
+        if j > float(bound):
+            problems.append(f"J({l}, d_max) = {j:.3g} > {bound}")
     return problems
 
 

@@ -40,6 +40,7 @@ class TestLoadConfig:
         assert cfg.fading_pb_st.m == 20
         assert cfg.rho == 1.2
         assert cfg.ideal is True
+        assert cfg == analysis.SystemConfig()
 
     def test_millijoule_buffer_with_hardware_overhead(self, tmp_path):
         path = tmp_path / "lossy.cfg"
@@ -85,8 +86,6 @@ class TestTauGrid:
         assert len(parse_tau_grid(f"{step}:{100_000 * step}:{step}")) == 100_000
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigError):
-            parse_tau_grid("0.0:0.9:0.1")
         with pytest.raises(ConfigError, match="more than 100000 points"):
             parse_tau_grid(f"{2.0**-17}:{100_001 * 2.0**-17}:{2.0**-17}")
         with pytest.raises(ConfigError):
@@ -163,9 +162,11 @@ class TestSimulate:
 
 
 class TestValidate:
-    def test_default_configuration_passes(self):
+    # m = 1 and m = 2 leave J(3), and at m = 1 J(2), undefined; the suite skips them
+    @pytest.mark.parametrize("values", [{}, {"m": 1}, {"m": 2}], ids=["default", "m1", "m2"])
+    def test_default_configuration_passes(self, values):
         stream = io.StringIO()
-        code = cmd_validate(analysis.SystemConfig(), stream=stream)
+        code = cmd_validate(build_config({**cli.CONFIG_DEFAULTS, **values}), stream=stream)
         output = stream.getvalue()
         assert code == 0, output
         assert output.count("PASS") == 9
@@ -218,21 +219,25 @@ class TestMain:
             "j-magnitude", "sim-conservation", "sim-model-agreement",
         ]
 
-    @pytest.mark.parametrize("command", ["range", "validate"])
-    def test_tau_grid_is_not_an_option(self, capsys, command):
-        # only analyze and simulate sweep a tau grid
+    @pytest.mark.parametrize("command, argv", [
+        # options that exist on other commands, which this one does not read
+        pytest.param("range", ["--tau-grid", "nonsense"], id="range-tau-grid"),
+        pytest.param("validate", ["--tau-grid", "nonsense"], id="validate-tau-grid"),
+        pytest.param("analyze", ["--tau", "0.3"], id="analyze-tau"),
+        pytest.param("simulate", ["--tau", "0.3"], id="simulate-tau"),
+        pytest.param("range", ["--rate", "2"], id="range-rate"),
+        pytest.param("range", ["--format", "csv"], id="range-format"),
+        pytest.param("validate", ["--format", "json"], id="validate-format"),
+        # abbreviations are refused, so these are not --tau-grid and --placements
+        pytest.param("analyze", ["--tau-g", "0.1:0.9:0.1"], id="analyze-abbrev"),
+        pytest.param("simulate", ["--place", "5"], id="simulate-abbrev"),
+    ])
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, command, argv):
+        out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--tau-grid", "nonsense"])
+            cli.main([command, *argv, "--out", str(out)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("command", ["range", "validate"])
-    def test_json_format_is_usage_error_without_json_form(self, tmp_path, capsys, command):
-        out = tmp_path / "out.json"
-        assert cli.main([command, "--format", "json", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "JSON" in captured.err
         assert not out.exists()
 
     def test_analyze_to_file(self, tmp_path):
@@ -317,6 +322,9 @@ class TestMain:
         # point count overflows a float, or would fill memory
         ["analyze", "--tau-grid", "0.1:0.9:5e-324"],
         ["analyze", "--tau-grid", "0.1:0.9:1e-300"],
+        # grid points outside (0, 1)
+        ["analyze", "--tau-grid", "0.0:0.9:0.1"],
+        ["simulate", "--tau-grid", "0.5:1.5:0.5", "--placements", "4", "--slots", "10"],
     ])
     def test_tau_with_no_spend_is_usage_error(self, capsys, argv):
         assert cli.main(argv) == 2
