@@ -15,8 +15,10 @@ Sizes:
 - ``RunReport.to_csv`` of the 999-row ``ehcr analyze`` report on that grid;
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
 - validate's ``sim-model-agreement`` suite (both simulator modes at
-  500 placements × 500 slots) and ``jensen-bounds`` suite (1e6 samples of
-  each link) at the default configuration;
+  500 placements × 500 slots), ``jensen-bounds`` suite (1e6 samples of
+  each link), ``fading-sampler-ks`` suite (a KS test of 1e5 draws of each
+  link) and ``phi-closed-vs-quadrature`` suite (phi1 and phi2 at nine
+  taus, closed form and quadrature) at the default configuration;
 - ``import ehcr.cli`` in a fresh interpreter, start-up of the interpreter
   included, once per round.
 """
@@ -134,3 +136,11 @@ def test_suite_sim_model_agreement(benchmark):
 
 def test_suite_jensen_bounds(benchmark):
     assert benchmark(validate.jensen_bounds, CFG) == []
+
+
+def test_suite_fading_sampler_ks(benchmark):
+    assert benchmark(validate.fading_sampler, CFG) == []
+
+
+def test_suite_phi_closed_vs_quadrature(benchmark):
+    assert benchmark(validate.phi_closed_vs_quadrature, CFG) == []

@@ -290,13 +290,28 @@ def cmd_validate(cfg: SystemConfig, stream=None) -> int:
 # argument parsing and entry point
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it refuses an argument it does not take itself.
+
+    argparse leaves a command's unknown arguments to the top-level parser,
+    whose error shows the top-level usage line; refusing them here shows the
+    command's own usage, with the options it does take.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehcr",
         description="Closed-form metrics and Monte Carlo validation for an "
         "energy-harvesting interweave secondary link.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, help_text in (
         ("analyze", "analytic sweep over the switching-time grid"),
         ("simulate", "analytic sweep plus Monte Carlo estimates"),

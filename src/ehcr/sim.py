@@ -134,10 +134,26 @@ def _stratum(i: int, n_placements: int):
     return 2 * k, (2 + n_placements % 2 if k == n_placements // 2 - 1 else 2)
 
 
+def _uint32_words(n: int) -> list:
+    """The 32-bit words of ``n >= 0``, low word first; 0 is one word.
+
+    This is how `numpy.random.SeedSequence` splits each int of a list of
+    entropy, so the words of ``seed`` then of ``i``, as a ``uint32`` array,
+    seed the same pool as ``SeedSequence([seed, i])`` without the list's
+    coercion in Python.
+    """
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: int):
     """Per-placement distances and the two readers of each harvest stream.
 
-    Each placement's stream is seeded from (seed, placement index), so
+    Each placement's stream is seeded from (seed, placement index), as
+    ``SeedSequence([seed, i])`` would be (see `_uint32_words`), so
     results are independent of execution order and bit-reproducible. Its
     first uniform places its distance inside its stratum's slice of the
     annulus CDF. Then the stream holds ``n_total`` component uniforms, the
@@ -149,8 +165,9 @@ def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: 
     distances = np.empty(n_placements)
     readers = []
     gens = []
+    head = _uint32_words(int(seed))
     for i in range(n_placements):
-        seq = np.random.SeedSequence([int(seed), i])
+        seq = np.random.SeedSequence(np.array(head + _uint32_words(i), dtype=np.uint32))
         reader = np.random.Generator(np.random.PCG64(seq))
         start, size = _stratum(i, n_placements)
         distances[i] = _distance(cfg, (start + size * reader.random()) / n_placements)

@@ -66,6 +66,9 @@ def fading_sampler(cfg):
     gen = np.random.default_rng(20260824)
     for name, link in (("pb_st", cfg.fading_pb_st), ("st_sr", cfg.fading_st_sr)):
         draws = fading.sample(link, gen, size=100_000)
+        # kstest sorts a copy of its sample; its statistic and p-value do not
+        # depend on the order, and sorting sorted draws is about 20x cheaper
+        draws.sort()
         result = stats.kstest(draws, lambda x: fading.cdf(link, x))
         if result.pvalue <= 0.01:
             problems.append(f"{name}: KS p-value {result.pvalue:.4g} <= 0.01")

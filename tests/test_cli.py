@@ -237,7 +237,11 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, *argv, "--out", str(out)])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the command's own usage line, not the top-level one
+        assert captured.err.startswith(f"usage: ehcr {command} ")
+        assert f"ehcr {command}: error: unrecognized arguments: {' '.join(argv)}" in captured.err
         assert not out.exists()
 
     def test_analyze_to_file(self, tmp_path):

@@ -148,6 +148,22 @@ def frozen_survival(p, x):
     return sf if np.ndim(x) else float(sf)
 
 
+def frozen_pdf(p, x):
+    """``pdf``'s Poisson sum in one pass over every point, in ``frozen_survival``'s form."""
+    arr = np.asarray(x, dtype=float)
+    t = np.atleast_1d(arr).ravel() / p.omega
+    r = np.arange(p.mu - 1, p.m, dtype=float)
+    log_fact = special.gammaln(r + 1.0)
+    weights = np.asarray(p.weights[::-1]) / p.omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = r[:, None] * np.log(t[None, :]) - log_fact[:, None] - t[None, :]
+        density = (np.exp(log_terms) * weights[:, None]).sum(axis=0)
+    density[t == 0.0] = p.weights[-1] / p.omega if p.shapes[-1] == 1 else 0.0
+    density[t == math.inf] = 0.0
+    density = density.reshape(arr.shape)
+    return density if np.ndim(x) else float(density)
+
+
 BIT_IDENTITY_LAWS = [(7.0, 1, 20), (7.0, 16, 20), (1.0, 1, 1), (3.0, 2, 5), (7.0, 20, 20), (0.5, 1, 40)]
 EXTREME_POINTS = [0.0, 5e-324, 1e-300, 700.0, 800.0, 1e308, math.inf]
 
@@ -185,6 +201,45 @@ class TestSurvivalBitIdentity:
         self.assert_identical(p, xs.reshape(3, 4))
         self.assert_identical(p, xs.reshape(12, 1))
         self.assert_identical(p, xs[-1:].reshape(1, 1))
+
+
+class TestOnePointPath:
+    """A scalar ``x > 0`` skips the array kernel and gives its values bit for bit."""
+
+    @staticmethod
+    def assert_one_point(p, x):
+        with np.errstate(over="ignore"):  # the frozen copies' 1e308 / omega overflows to inf
+            sf = frozen_survival(p, x)
+            expected = [frozen_pdf(p, x), sf, 1.0 - sf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, ref in zip((fading.pdf, fading.survival, fading.cdf), expected):
+                value = f(p, x)
+                assert type(value) is float, (f.__name__, x)
+                assert value.hex() == float(ref).hex() == f(p, np.array([x]))[0].hex(), (f.__name__, x)
+
+    @pytest.mark.parametrize("law", BIT_IDENTITY_LAWS, ids=lambda law: "k{}-mu{}-m{}".format(*law))
+    def test_fixed_points(self, law):
+        p = FadingParams(*law)
+        for x in [*EXTREME_POINTS, np.finfo(float).max, 0.1, 1.0, 3.7, 25.0]:
+            self.assert_one_point(p, x)
+            self.assert_one_point(p, np.float64(x))
+
+    @pytest.mark.parametrize("law", BIT_IDENTITY_LAWS, ids=lambda law: "k{}-mu{}-m{}".format(*law))
+    def test_many_points(self, law):
+        # math.log differs from np.log in the last bit at about 0.2 % of these
+        # points, and a one-point path that took it would show at some of them
+        p = FadingParams(*law)
+        for x in np.random.default_rng(25).exponential(2.0, 1000).tolist():
+            self.assert_one_point(p, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        law=st.sampled_from(BIT_IDENTITY_LAWS),
+        x=st.floats(0.0, np.finfo(float).max, exclude_min=True),
+    )
+    def test_any_positive_float(self, law, x):
+        self.assert_one_point(FadingParams(*law), x)
 
 
 class TestCdf:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize, stats
@@ -559,7 +559,63 @@ class TestStrata:
         assert abs(ok / tx - q) <= 4.0 * math.sqrt(q * (1.0 - q) / tx)
 
 
+class TestEnergyBalance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        antennas=st.sampled_from([1, 16]),
+        ideal=st.booleans(),
+        n_placements=st.integers(2, 12),
+        n_slots=st.integers(1, 2_500),
+        seed=st.integers(0, 2**64),
+        taus=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5),
+    )
+    def test_spending_is_bounded_by_start_and_harvest(
+        self, antennas, ideal, n_placements, n_slots, seed, taus
+    ):
+        # over the measured slots a buffer starts at most full and never goes
+        # below 0, so for every (tau, placement) it spends no more than
+        # C + path_gain * (sum of measured harvest gains), whatever it wastes
+        # at the cap and however little it harvests while transmitting
+        cfg = default_config(fading_pb_st=FadingParams(7.0, antennas, 20), ideal=ideal)
+        taus = np.array(taus)
+        warmup = sim.warmup_slots(n_slots)
+        n_total = warmup + n_slots
+        distances, readers, gens = sim.placement_streams(cfg, n_placements, n_total, seed)
+        harvest = np.zeros(n_placements)
+
+        def summed(chunks):
+            for lo, gains in chunks:
+                harvest[:] += gains[max(warmup - lo, 0):].sum(axis=0)
+                yield lo, gains
+
+        edges = [*range(0, n_total, sim._CHUNK), n_total]
+        chunks = summed(sim._gain_chunks(cfg.fading_pb_st, readers, gens, edges))
+        tx = np.zeros((len(taus), n_placements), dtype=np.int64)
+        sim._buffer_counts(cfg, taus, distances, chunks, warmup, tx)
+        capacity = cfg.p_st_eff * cfg.t_frame
+        path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / distances**cfg.alpha_pb_st
+        spent = taus[:, None] * capacity * tx
+        assert np.all(spent <= (capacity + path_gain * harvest) * (1.0 + 1e-9))
+
+
+# seeds whose words numpy splits differently: one word, the largest one word,
+# the smallest two words, three words
+SPLIT_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5]
+
+
 class TestSeed:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(SPLIT_SEEDS), st.integers(0, 2**200)),
+           i=st.integers(0, 2**80))
+    @example(seed=0, i=0)
+    @example(seed=2**32 - 1, i=2**32 - 1)
+    @example(seed=2**32, i=2**32)
+    @example(seed=2**64 + 5, i=7)
+    def test_seed_words_give_the_seed_list_pool(self, seed, i):
+        words = np.array(sim._uint32_words(seed) + sim._uint32_words(i), dtype=np.uint32)
+        assert np.array_equal(np.random.SeedSequence(words).generate_state(4, np.uint64),
+                              np.random.SeedSequence([seed, i]).generate_state(4, np.uint64))
+
     def test_rejects_negative_seed(self):
         with pytest.raises(SimConfigurationError):
             sim.run(default_config(), 4, 10, seed=-1)
