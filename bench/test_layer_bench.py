@@ -16,9 +16,11 @@ Sizes:
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
 - validate's ``sim-model-agreement`` suite (both simulator modes at
   500 placements × 500 slots), ``jensen-bounds`` suite (1e6 samples of
-  each link), ``fading-sampler-ks`` suite (a KS test of 1e5 draws of each
-  link) and ``phi-closed-vs-quadrature`` suite (phi1 and phi2 at nine
-  taus, closed form and quadrature) at the default configuration;
+  each link: the harvest gains in one buffer, the link gains and both
+  capacities in chunks of 65 536), ``fading-sampler-ks`` suite (a KS test
+  of 1e5 draws of each link) and ``phi-closed-vs-quadrature`` suite (phi1
+  and phi2 at nine taus, closed form and quadrature) at the default
+  configuration;
 - ``import ehcr.cli`` in a fresh interpreter, start-up of the interpreter
   included, once per round.
 """

@@ -153,7 +153,7 @@ def build_config(values: dict) -> SystemConfig:
     try:
         link_pb_st = FadingParams(rician_k=values["K"], mu=values["L"], m=values["m"])
         link_st_sr = FadingParams(rician_k=k_s, mu=1, m=m_s)
-        return SystemConfig(
+        cfg = SystemConfig(
             p_beacon=numerics.dbm_to_watts(values["P_b_dbm"]),
             p_st=numerics.dbm_to_watts(values["M_dbm"]),
             eta=values["eta"],
@@ -174,6 +174,29 @@ def build_config(values: dict) -> SystemConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    _check_powers(cfg)
+    return cfg
+
+
+def _check_powers(cfg: SystemConfig):
+    """Refuse a config whose SNR threshold or path loss overflows a float.
+
+    The commands compute these powers of Python floats, where an overflow
+    raises `OverflowError` rather than giving inf. Every distance they raise
+    to ``alpha`` is at most ``d_max``, the Jensen suite's ``d_mid`` included.
+    """
+    for power, values, base, exponent in (
+        ("2**R", f"R = {cfg.rate!r}", 2.0, cfg.rate),
+        ("d_stsr**alpha_s", f"d_stsr = {cfg.d_st_sr!r}, alpha_s = {cfg.alpha_st_sr!r}",
+         cfg.d_st_sr, cfg.alpha_st_sr),
+        ("d_max**2", f"d_max = {cfg.d_max!r}", cfg.d_max, 2.0),
+        ("d_max**alpha", f"d_max = {cfg.d_max!r}, alpha = {cfg.alpha_pb_st!r}",
+         cfg.d_max, cfg.alpha_pb_st),
+    ):
+        try:
+            base**exponent
+        except OverflowError as exc:
+            raise ConfigError(f"invalid configuration: {power} overflows a float ({values})") from exc
 
 
 def _read_config_values(path: str) -> dict:

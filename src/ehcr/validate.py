@@ -7,11 +7,15 @@ that ``ehcr validate`` prints, in the order in which it runs them.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from . import analysis, fading, numerics, sim
+
+# samples per chunk of the Jensen suite's draws
+_CHUNK = 1 << 16
 
 
 def numerics_reference(cfg):
@@ -91,31 +95,77 @@ def phi_closed_vs_quadrature(cfg):
     return problems
 
 
+def _link_chunks(p, gen, n):
+    """Yield ``(first sample, gains)`` per chunk of the ``n`` gains ``fading.sample(p, gen, n)`` draws.
+
+    The link is read as one placement of `sim._gain_chunks`: a copy of
+    ``gen`` reads the component uniforms, and ``gen``, advanced past them by
+    ``n`` (one 64-bit output per uniform double), draws the gammas ``_CHUNK``
+    at a time. The gains, and the state in which ``gen`` is left, are
+    therefore ``fading.sample``'s bit for bit, for a ``gen`` that holds no
+    buffered 32-bit half (``advance`` drops it). Each chunk is a view of one
+    reused buffer, which the caller may overwrite before it asks for the next.
+    """
+    reader = copy.deepcopy(gen)
+    gen.bit_generator.advance(n)
+    for lo, gains in sim._gain_chunks(p, [reader], [gen], [*range(0, n, _CHUNK), n]):
+        yield lo, gains[:, 0]
+
+
 def jensen_bounds(cfg):
     problems = []
     gen = np.random.default_rng(7_031)
     n = 1_000_000
-    gp = fading.sample(cfg.fading_pb_st, gen, size=n)
-    gs = fading.sample(cfg.fading_st_sr, gen, size=n)
+    # gp is read whole: its gammas decide where the gs stream starts
+    gp = np.empty(n)
+    for lo, gains in _link_chunks(cfg.fading_pb_st, gen, n):
+        gp[lo:lo + len(gains)] = gains
     d_mid = 0.5 * (cfg.d_min + cfg.d_max)
+    harvest = cfg.eta * cfg.p_beacon * (1.0 - cfg.tau)
+    harvest_loss = cfg.tau * cfg.noise_power * d_mid**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr
+    benchmark_loss = cfg.noise_power * cfg.d_st_sr**cfg.alpha_st_sr
 
-    def exceeds(bound, snr):
-        # the capacity tau * log2(1 + snr), in place in the snr samples
+    def fold(moments, snr):
+        # the capacity tau * log2(1 + snr), in place in the snr samples, merged
+        # into the (count, mean, sum of squared deviations) of the samples so
+        # far by Chan et al.'s pairwise update, which does not cancel as
+        # one-pass sums of x and x^2 do
         snr += 1.0
         np.log2(snr, out=snr)
         snr *= cfg.tau
-        return bound > snr.mean() + 3.0 * snr.std() / math.sqrt(n)
+        count, mean, m2 = moments
+        k = len(snr)
+        chunk_mean = float(snr.mean())
+        snr -= chunk_mean
+        np.square(snr, out=snr)
+        total = count + k
+        delta = chunk_mean - mean
+        return (
+            total,
+            mean + delta * (k / total),
+            m2 + float(snr.sum()) + delta * delta * (count * k / total),
+        )
 
-    # eta P_b (1 - tau) gp gs / (tau N0 d_mid^a d_stsr^a_s), in gp's buffer
-    snr = gp
-    snr *= cfg.eta * cfg.p_beacon * (1.0 - cfg.tau)
-    snr *= gs
-    snr /= cfg.tau * cfg.noise_power * d_mid**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr
-    if exceeds(analysis.capacity_lower_bound(cfg, d_mid), snr):
+    harvest_moments = benchmark_moments = (0, 0.0, 0.0)
+    for lo, gs in _link_chunks(cfg.fading_st_sr, gen, n):
+        # eta P_b (1 - tau) gp gs / (tau N0 d_mid^a d_stsr^a_s), in gp's buffer
+        snr = gp[lo:lo + len(gs)]
+        snr *= harvest
+        snr *= gs
+        snr /= harvest_loss
+        harvest_moments = fold(harvest_moments, snr)
+        # p_st gs / (N0 d_stsr^a_s), in gs's buffer
+        gs *= cfg.p_st
+        gs /= benchmark_loss
+        benchmark_moments = fold(benchmark_moments, gs)
+
+    def exceeds(bound, moments):
+        _, mean, m2 = moments
+        return bound > mean + 3.0 * math.sqrt(m2 / n) / math.sqrt(n)
+
+    if exceeds(analysis.capacity_lower_bound(cfg, d_mid), harvest_moments):
         problems.append("harvested-power Jensen bound exceeds Monte Carlo mean")
-    np.multiply(cfg.p_st, gs, out=snr)
-    snr /= cfg.noise_power * cfg.d_st_sr**cfg.alpha_st_sr
-    if exceeds(analysis.benchmark_capacity_lower_bound(cfg), snr):
+    if exceeds(analysis.benchmark_capacity_lower_bound(cfg), benchmark_moments):
         problems.append("benchmark Jensen bound exceeds Monte Carlo mean")
     return problems
 

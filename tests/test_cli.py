@@ -5,10 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from ehcr import analysis, cli, sim, validate
+from ehcr import analysis, cli, fading, sim, validate
 from ehcr.cli import (
     ConfigError,
     build_config,
@@ -190,6 +192,64 @@ class TestValidate:
         monkeypatch.setattr(analysis, name, lambda *args: math.inf)
         assert validate.jensen_bounds(analysis.SystemConfig()) == [problem]
 
+    @pytest.mark.parametrize("values", [{}, {"L": 16, "ideal": False}], ids=["L1-ideal", "L16-nonideal"])
+    @pytest.mark.parametrize("index, name, problem", [
+        (0, "capacity_lower_bound", "harvested-power Jensen bound exceeds Monte Carlo mean"),
+        (1, "benchmark_capacity_lower_bound", "benchmark Jensen bound exceeds Monte Carlo mean"),
+    ])
+    def test_jensen_gate_sits_at_whole_array_statistic(self, monkeypatch, values, index, name, problem):
+        # a bound just under the whole-array statistic passes and one just over
+        # it fails, so the chunked moments keep every sample and merge right
+        cfg = build_config({**cli.CONFIG_DEFAULTS, **values})
+        statistic = _jensen_statistics(cfg)[index]
+        monkeypatch.setattr(analysis, name, lambda *args: statistic * (1.0 - 1e-9))
+        assert validate.jensen_bounds(cfg) == []
+        monkeypatch.setattr(analysis, name, lambda *args: statistic * (1.0 + 1e-9))
+        assert validate.jensen_bounds(cfg) == [problem]
+
+    @pytest.mark.parametrize("values", [{}, {"L": 16}], ids=["L1", "L16"])
+    def test_jensen_link_chunks_equal_sample(self, values):
+        # a size that leaves a partial last chunk, both links read from one
+        # generator in turn, as the suite reads them
+        cfg = build_config({**cli.CONFIG_DEFAULTS, **values})
+        n = 1_000_003
+        eager, chunked = np.random.default_rng(7_031), np.random.default_rng(7_031)
+        for link in (cfg.fading_pb_st, cfg.fading_st_sr):
+            expected = fading.sample(link, eager, size=n)
+            starts, gains = zip(*((lo, g.copy()) for lo, g in validate._link_chunks(link, chunked, n)))
+            assert list(starts) == list(range(0, n, validate._CHUNK))
+            assert np.array_equal(np.concatenate(gains), expected)
+            assert chunked.bit_generator.state == eager.bit_generator.state
+
+    def test_jensen_traced_peak_memory(self):
+        # whole-array draws and capacities held 30.5 MB; gp alone is 8 MB
+        tracemalloc.start()
+        try:
+            validate.jensen_bounds(analysis.SystemConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _jensen_statistics(cfg):
+    """``mean + 3 sd / sqrt(n)`` of the Jensen suite's two capacities, from whole arrays."""
+    n = 1_000_000
+    gen = np.random.default_rng(7_031)
+    gp = fading.sample(cfg.fading_pb_st, gen, size=n)
+    gs = fading.sample(cfg.fading_st_sr, gen, size=n)
+    d_mid = 0.5 * (cfg.d_min + cfg.d_max)
+    harvest = (
+        cfg.eta * cfg.p_beacon * (1.0 - cfg.tau) * gp * gs
+        / (cfg.tau * cfg.noise_power * d_mid**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr)
+    )
+    benchmark = cfg.p_st * gs / (cfg.noise_power * cfg.d_st_sr**cfg.alpha_st_sr)
+    statistics = []
+    for snr in (harvest, benchmark):
+        capacity = cfg.tau * np.log2(1.0 + snr)
+        statistics.append(capacity.mean() + 3.0 * capacity.std() / math.sqrt(n))
+    return statistics
+
 
 class TestMain:
     def test_range_prints_single_number(self, capsys):
@@ -366,6 +426,25 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "tau = 1e-300" in captured.err
+
+    @pytest.mark.parametrize("key, value, power", [
+        ("R", "2000", "2**R"),
+        ("d_max", "1e300", "d_max**2"),
+        ("alpha_s", "400", "d_stsr**alpha_s"),
+        ("d_stsr", "1e300", "d_stsr**alpha_s"),
+        ("alpha", "400", "d_max**alpha"),
+    ])
+    def test_overflowing_power_is_usage_error(self, tmp_path, capsys, key, value, power):
+        # each of these once ended in an OverflowError traceback
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for argv in (["analyze"], ["simulate", "--placements", "5", "--slots", "200"], ["validate"]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"error: invalid configuration: {power} overflows a float")
+            assert f"{key} = {float(value)!r}" in line
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
