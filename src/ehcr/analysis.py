@@ -226,10 +226,14 @@ def phi2(cfg: SystemConfig) -> float:
 def _phi_quadrature(cfg: SystemConfig, branch: int) -> float:
     taus = np.array([cfg.tau])
     coeff, lo, hi = (float(v[0]) for v in _branches(cfg, taus, _d_star(cfg, taus))[branch])
-    if hi <= lo:
-        return 0.0
     p = cfg.fading_pb_st
     alpha = cfg.alpha_pb_st
+    # past the distance whose threshold reaches `fading.survival_end` the
+    # integrand is 0.0; a steep path loss leaves a support too narrow for the
+    # adaptive rule to find on the whole branch
+    hi = min(hi, (fading.survival_end(p) / coeff) ** (1.0 / alpha))
+    if hi <= lo:
+        return 0.0
     norm = cfg.d_max**2 - cfg.d_min**2
 
     def integrand(x: float) -> float:

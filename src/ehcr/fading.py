@@ -230,6 +230,23 @@ def survival(p: FadingParams, x):
     return sf if np.ndim(x) else float(sf)
 
 
+def survival_end(p: FadingParams) -> float:
+    """A gain at and beyond which `survival` is exactly 0.0.
+
+    Past ``t = m - 1`` the largest of the survival's Poisson terms is the one
+    of ``r = m - 1``, whose exponent ``(m - 1) log t - log (m - 1)! - t``
+    falls, and ``exp`` underflows to 0.0 below about -745.13. The ``t`` returned
+    puts that exponent at -746, found by iterating ``t = (m - 1) log t +
+    log (m - 1)! + 746`` down from ``746 m``, above its root; the margin
+    covers the rounding of the terms.
+    """
+    k = math.lgamma(p.m) + 746.0
+    t = 746.0 * p.m
+    while (nxt := (p.m - 1) * math.log(t) + k) < t:
+        t = nxt
+    return t * p.omega
+
+
 def cdf(p: FadingParams, x):
     """Distribution function at x; accepts scalars or arrays. One at +inf."""
     return 1.0 - survival(p, x)

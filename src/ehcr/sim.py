@@ -149,6 +149,24 @@ def _uint32_words(n: int) -> list:
     return words
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands out one fixed set of words.
+
+    A `numpy.random.PCG64` takes its state from ``generate_state(4, uint64)``
+    of its seed sequence, so two PCG64s built from one of these share the
+    state that a `SeedSequence` holding those words' pool would give each,
+    while the pool is hashed once.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"holds {len(self.words)} {self.words.dtype} words")
+        return self.words
+
+
 def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: int):
     """Per-placement distances and the two readers of each harvest stream.
 
@@ -160,7 +178,8 @@ def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: 
     ``n_total`` harvest gammas and the ST-SR link stream. Returns the
     distances, each placement's uniform reader, which stands at its
     component uniforms, and its generator, which stands where the gammas
-    start. Both are built from one `SeedSequence`, so they share the stream.
+    start. Both take the state words of one `SeedSequence`, so they share the
+    stream.
     """
     distances = np.empty(n_placements)
     readers = []
@@ -168,11 +187,12 @@ def placement_streams(cfg: SystemConfig, n_placements: int, n_total: int, seed: 
     head = _uint32_words(int(seed))
     for i in range(n_placements):
         seq = np.random.SeedSequence(np.array(head + _uint32_words(i), dtype=np.uint32))
-        reader = np.random.Generator(np.random.PCG64(seq))
+        words = _SeedWords(seq.generate_state(4, np.uint64))
+        reader = np.random.Generator(np.random.PCG64(words))
         start, size = _stratum(i, n_placements)
         distances[i] = _distance(cfg, (start + size * reader.random()) / n_placements)
         readers.append(reader)
-        gen = np.random.default_rng(seq)
+        gen = np.random.Generator(np.random.PCG64(words))
         # one 64-bit output per uniform double
         gen.bit_generator.advance(1 + n_total)
         gens.append(gen)

@@ -187,6 +187,17 @@ class TestPhi:
                 analysis.phi2_quadrature(cfg), rel=1e-7
             )
 
+    @pytest.mark.parametrize("antennas", [1, 16])
+    def test_quadrature_finds_narrow_support_of_steep_path_loss(self, antennas):
+        # at alpha = 260 the outside branch runs from about 1.01 to 15, but its
+        # integrand is nonzero only below about 1.04; on the whole branch the
+        # adaptive rule sampled none of that support and returned 0
+        base = default_config(alpha_pb_st=260.0, fading_pb_st=FadingParams(7.0, antennas, 20))
+        for tau in (0.1, 0.5, 0.9):
+            cfg = base.with_tau(tau)
+            assert analysis.phi2(cfg) > 0.0
+            assert analysis.phi2_quadrature(cfg) == pytest.approx(analysis.phi2(cfg), rel=1e-7)
+
     def test_tau_near_one_leaves_only_full_slot_branch(self):
         # the effective range collapses below d_min, so only the full-slot
         # harvesting branch can refill the buffer

@@ -174,6 +174,14 @@ class TestValidate:
         assert output.count("PASS") == 9
         assert "FAIL" not in output
 
+    def test_steep_path_loss_passes(self, tmp_path, capsys):
+        # at alpha = 260 the quadrature oracle missed phi2's narrow support
+        # and read 0 against the closed form at every tau
+        path = tmp_path / "steep.cfg"
+        path.write_text("alpha = 260\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 9
+
     def test_corrupted_omega_detected(self):
         # scaling omega keeps a valid density but breaks the unit-mean identity
         link = FadingParams(7.0, 1, 20)
@@ -230,6 +238,62 @@ class TestValidate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _uniform_sample_at(nd2, n=100_000):
+    """Sorted CDF values of ``n`` points whose KS distance from Uniform(0, 1) puts ``n D²`` at about ``nd2``.
+
+    The midpoints ``(i + 1/2) / n`` shifted up by ``s`` lie ``1/(2n) + s``
+    above the empirical CDF's lower step and ``1/(2n) - s`` below its upper.
+    """
+    shift = math.sqrt(nd2 / n) - 0.5 / n
+    return np.clip((np.arange(n) + 0.5) / n + shift, 0.0, 1.0)
+
+
+class TestKolmogorovSmirnov:
+    """`validate._ks_test` against `scipy.stats.kstest`, at the suite's n = 100 000."""
+
+    @pytest.mark.parametrize("values", [
+        {}, {"ideal": False}, {"L": 16}, {"L": 16, "ideal": False},
+    ], ids=["L1-ideal", "L1-nonideal", "L16-ideal", "L16-nonideal"])
+    def test_statistic_on_the_suite_draws(self, values):
+        from scipy import stats
+
+        cfg = build_config({**cli.CONFIG_DEFAULTS, **values})
+        gen = np.random.default_rng(20260824)
+        for link in (cfg.fading_pb_st, cfg.fading_st_sr):
+            draws = fading.sample(link, gen, size=100_000)
+            draws.sort()
+            statistic, pvalue = validate._ks_test(fading.cdf(link, draws))
+            expected = stats.kstest(draws, lambda x: fading.cdf(link, x))
+            assert statistic == expected.statistic
+            assert (pvalue <= 0.01) == (expected.pvalue <= 0.01)
+
+    @pytest.mark.parametrize("nd2", [2.2, 2.65, 5.0, 50.0, 369.0, 371.0])
+    def test_pvalue_is_scipys_from_2_2_on(self, nd2):
+        from scipy import stats
+
+        values = _uniform_sample_at(nd2)
+        statistic, pvalue = validate._ks_test(values)
+        expected = stats.kstest(values, lambda x: x)
+        n = len(values)
+        assert nd2 <= n * statistic * statistic == pytest.approx(nd2, rel=1e-12)
+        assert statistic == expected.statistic
+        assert pvalue == expected.pvalue
+
+    def test_verdict_is_scipys_below_2_2(self):
+        from scipy import stats
+
+        for nd2 in np.linspace(0.0, 2.2, 45)[1:-1]:
+            values = _uniform_sample_at(nd2)
+            statistic, pvalue = validate._ks_test(values)
+            expected = stats.kstest(values, lambda x: x)
+            assert statistic == expected.statistic
+            assert pvalue > 0.01 and expected.pvalue > 0.01
+
+    def test_refuses_small_samples(self):
+        with pytest.raises(AssertionError):
+            validate._ks_test(_uniform_sample_at(1.0, n=140))
 
 
 def _jensen_statistics(cfg):
@@ -483,13 +547,18 @@ result["integral"] = numerics.integrate_adaptive(lambda x: x * x, 0.0, 3.0)
 result["after_integrate"] = loaded()
 result["sampler_problems"] = validate.fading_sampler(analysis.SystemConfig())
 result["after_sampler"] = loaded()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    result["validate_exit_code"] = cli.main(["validate"])
+result["validate"] = out.getvalue()
+result["after_validate"] = loaded()
 print(json.dumps(result))
 """
 
 
 class TestColdStart:
     """analyze, simulate and range load neither scipy.stats nor scipy.integrate;
-    the validation code that needs them imports them on first use."""
+    validate imports scipy.integrate on first use, and no command loads scipy.stats."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -514,6 +583,11 @@ class TestColdStart:
         assert result["integral"] == pytest.approx(9.0, rel=1e-12)
         assert result["after_integrate"] == {"scipy.stats": False, "scipy.integrate": True}
 
-    def test_sampler_suite_loads_stats(self, result):
+    def test_sampler_suite_loads_no_stats(self, result):
         assert result["sampler_problems"] == []
-        assert result["after_sampler"]["scipy.stats"] is True
+        assert result["after_sampler"]["scipy.stats"] is False
+
+    def test_validate_loads_no_stats(self, result):
+        assert result["validate_exit_code"] == 0
+        assert result["validate"].count("PASS") == 9
+        assert result["after_validate"] == {"scipy.stats": False, "scipy.integrate": True}

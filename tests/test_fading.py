@@ -276,6 +276,23 @@ class TestCdf:
             fading.cdf(DEFAULT_LINK, -1.0)
 
 
+class TestSurvivalEnd:
+    @given(laws())
+    @settings(max_examples=60, deadline=None)
+    def test_survival_is_zero_from_the_end_on(self, p):
+        end = fading.survival_end(p)
+        beyond = end * (1.0 + np.logspace(-16, 3, 40))
+        assert fading.survival(p, end) == 0.0
+        assert all(fading.survival(p, float(x)) == 0.0 for x in beyond)
+        assert np.all(fading.survival(p, beyond) == 0.0)
+        # the r = 0 Poisson term e^-t alone is positive below t = 745
+        assert fading.survival(p, 0.5 * end) > 0.0
+
+    def test_unit_exponential(self):
+        # survival e^-t, which underflows to 0.0 past t = 745.13
+        assert fading.survival_end(FadingParams(15.0, 1, 1)) == 746.0 * FadingParams(15.0, 1, 1).omega
+
+
 class TestNonFiniteArgument:
     @pytest.mark.parametrize("f", [fading.pdf, fading.survival, fading.cdf])
     def test_nan_is_refused(self, f):
