@@ -7,14 +7,17 @@ Sizes:
   included, the simulator's chunk of harvest slots, at L = 1 (20
   components) and L = 16 (5 components);
 - ``fading.survival``: 1e5 points on [0, 10], and one scalar;
-- ``fading.pdf``: one scalar (as quadrature calls it), and 3 072 points;
+- ``fading.pdf``: one scalar, and 3 072 points;
+- ``numerics.integrate_adaptive``: the mass of the L = 16 harvest law's
+  density on [0, 50], as validate's ``fading-normalization`` suite takes it;
 - ``analysis.evaluate``: one point at the default configuration;
 - ``analysis.sweep``: 19 taus, 0.05 to 0.95, and the 999 taus of
   perfbench's analytic-grid workload at seed 1;
 - ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout;
 - ``RunReport.to_csv`` of the 999-row ``ehcr analyze`` report on that grid;
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
-- validate's ``sim-model-agreement`` suite (both simulator modes at
+- validate's ``fading-normalization`` suite (the pdf mass of each link),
+  ``sim-model-agreement`` suite (both simulator modes at
   500 placements × 500 slots), ``jensen-bounds`` suite (1e6 samples of
   each link: the harvest gains in one buffer, the link gains and both
   capacities in chunks of 65 536), ``fading-sampler-ks`` suite (a KS test
@@ -33,7 +36,7 @@ import sys
 import numpy as np
 import pytest
 
-from ehcr import analysis, cli, fading, validate
+from ehcr import analysis, cli, fading, numerics, validate
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
 
@@ -80,6 +83,12 @@ def test_fading_pdf_array(benchmark):
     points = np.linspace(0.0, 10.0, 3072)
     density = benchmark(fading.pdf, CFG.fading_pb_st, points)
     assert density.shape == (3072,) and density[-1] < 1e-6
+
+
+def test_integrate_adaptive_pdf_mass(benchmark):
+    p = FadingParams(7.0, 16, 20)
+    mass = benchmark(numerics.integrate_adaptive, lambda x: fading.pdf(p, x), 0.0, 50.0)
+    assert mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_evaluate(benchmark):
@@ -129,6 +138,10 @@ def test_cold_import_cli(benchmark):
         return subprocess.run([sys.executable, "-c", "import ehcr.cli"], env=env).returncode
 
     assert benchmark(job) == 0
+
+
+def test_suite_fading_normalization(benchmark):
+    assert benchmark(validate.fading_normalization, CFG) == []
 
 
 def test_suite_sim_model_agreement(benchmark):

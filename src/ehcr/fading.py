@@ -5,10 +5,8 @@ with integer shapes ``m - j`` and a common scale ``omega``; the mixture is
 unit-mean by construction. The number of clusters ``mu`` doubles as the
 number of beacon antennas when the per-antenna gains are combined.
 
-`pdf` and `survival` evaluate arrays with one chunked Poisson-sum kernel; a
-single float ``x > 0`` (as quadrature passes them) takes a one-point path
-through the same numpy operations, bit for bit, without the kernel's
-per-call overhead.
+`pdf` and `survival` evaluate scalars and arrays alike with one chunked
+Poisson-sum kernel; quadrature passes them all its nodes at once.
 """
 
 from __future__ import annotations
@@ -172,43 +170,8 @@ def _poisson_sum(arr, omega, rows):
     return t, out
 
 
-def _finite_point(p: FadingParams, x):
-    """``t = x / omega`` if ``x`` is one float > 0 whose ``t`` is finite, else None.
-
-    Checked before any numpy call, so a NaN, a negative, an infinite or a huge
-    finite ``x`` (whose ``t`` overflows) takes the array path, which refuses
-    or handles it without a ``RuntimeWarning``. A numpy float is divided as a
-    Python float, whose overflow to inf does not warn.
-    """
-    if isinstance(x, float) and x > 0.0:
-        t = float(x) / p.omega
-        if t < math.inf:
-            return t
-    return None
-
-
-def _poisson_point(t, rows):
-    """`_poisson_sum` at one finite ``t > 0``: its numpy operations, in its order.
-
-    The same one-column buffer goes through ``np.log`` of a one-element array
-    (``math.log`` differs in the last bit at some points), ``r log t - log r!
-    - t``, ``exp``, the weights and the sum, so the value is the array path's
-    bit for bit without its error state, chunks, masks and reshape.
-    """
-    r, log_fact, weights = rows
-    b = np.multiply(r, np.log(np.array([t])))
-    b -= log_fact
-    b -= t
-    np.exp(b, out=b)
-    b *= weights
-    return float(b.sum())
-
-
 def pdf(p: FadingParams, x):
     """Mixture density at x; accepts scalars or arrays. Zero at +inf."""
-    t = _finite_point(p, x)
-    if t is not None:
-        return _poisson_point(t, p._pdf_rows)
     arr = _as_nonnegative_array(x)
     t, out = _poisson_sum(arr, p.omega, p._pdf_rows)
     # the unit-shape component is the only one with mass density at 0
@@ -219,9 +182,6 @@ def pdf(p: FadingParams, x):
 
 def survival(p: FadingParams, x):
     """Complementary CDF at x; accepts scalars or arrays. Zero at +inf."""
-    t = _finite_point(p, x)
-    if t is not None:
-        return min(max(_poisson_point(t, p._survival_rows), 0.0), 1.0)
     arr = _as_nonnegative_array(x)
     t, sf = _poisson_sum(arr, p.omega, p._survival_rows)
     sf[t == 0.0] = 1.0  # exact, avoids the rounding of the summed weights

@@ -557,8 +557,8 @@ print(json.dumps(result))
 
 
 class TestColdStart:
-    """analyze, simulate and range load neither scipy.stats nor scipy.integrate;
-    validate imports scipy.integrate on first use, and no command loads scipy.stats."""
+    """No command loads scipy.stats or scipy.integrate: the quadrature is numpy's
+    and the KS p-value comes from scipy.special."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -579,9 +579,9 @@ class TestColdStart:
         assert len(rows_from_csv(result["simulate"])) == 3
         assert result["after_commands"] == {"scipy.stats": False, "scipy.integrate": False}
 
-    def test_quadrature_loads_integrate(self, result):
+    def test_quadrature_loads_no_integrate(self, result):
         assert result["integral"] == pytest.approx(9.0, rel=1e-12)
-        assert result["after_integrate"] == {"scipy.stats": False, "scipy.integrate": True}
+        assert result["after_integrate"] == {"scipy.stats": False, "scipy.integrate": False}
 
     def test_sampler_suite_loads_no_stats(self, result):
         assert result["sampler_problems"] == []
@@ -590,4 +590,4 @@ class TestColdStart:
     def test_validate_loads_no_stats(self, result):
         assert result["validate_exit_code"] == 0
         assert result["validate"].count("PASS") == 9
-        assert result["after_validate"] == {"scipy.stats": False, "scipy.integrate": True}
+        assert result["after_validate"] == {"scipy.stats": False, "scipy.integrate": False}

@@ -204,7 +204,8 @@ class TestSurvivalBitIdentity:
 
 
 class TestOnePointPath:
-    """A scalar ``x > 0`` skips the array kernel and gives its values bit for bit."""
+    """A scalar ``x > 0`` gives a Python float equal to the array path's and to
+    the frozen copies' bit for bit."""
 
     @staticmethod
     def assert_one_point(p, x):
@@ -228,7 +229,7 @@ class TestOnePointPath:
     @pytest.mark.parametrize("law", BIT_IDENTITY_LAWS, ids=lambda law: "k{}-mu{}-m{}".format(*law))
     def test_many_points(self, law):
         # math.log differs from np.log in the last bit at about 0.2 % of these
-        # points, and a one-point path that took it would show at some of them
+        # points, and a scalar path that took it would show at some of them
         p = FadingParams(*law)
         for x in np.random.default_rng(25).exponential(2.0, 1000).tolist():
             self.assert_one_point(p, x)

@@ -3,8 +3,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
-from ehcr import numerics
+from ehcr import analysis, cli, fading, numerics, validate
+from ehcr.fading import FadingParams
 from ehcr.numerics import (
     IntegrationError,
     dbm_to_watts,
@@ -98,9 +100,59 @@ class TestDbmToWatts:
             dbm_to_watts(math.inf)
 
 
+def quad_reference(f, a, b):
+    """``scipy.integrate.quad`` on [a, b] with `integrate_adaptive`'s targets.
+
+    quad calls ``f`` on Python floats, which the integrands here take as well.
+    """
+    value, _ = integrate.quad(
+        f, a, b,
+        epsabs=1e-300, epsrel=numerics._QUAD_RELATIVE_TOLERANCE,
+        limit=numerics._QUAD_SUBDIVISIONS,
+    )
+    return value
+
+
+def recorded_integrals(monkeypatch, run):
+    """The ``(f, a, b)`` of every `integrate_adaptive` call that ``run()`` makes."""
+    calls = []
+    real = numerics.integrate_adaptive
+
+    def record(f, a, b):
+        calls.append((f, a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def perfbench_setups():
+    for antennas in (1, 16):
+        for ideal in (True, False):
+            yield analysis.SystemConfig(ideal=ideal, fading_pb_st=FadingParams(7.0, antennas, 20))
+
+
 class TestIntegrateAdaptive:
     def test_constant(self):
         assert integrate_adaptive(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("constant", [2.5, np.float64(2.5), np.array(2.5), np.full(21, 2.5)],
+                             ids=["float", "float64", "0-d", "one-row"])
+    def test_constant_is_broadcast(self, constant):
+        assert integrate_adaptive(lambda x: constant, 0.0, 4.0) == pytest.approx(10.0, rel=1e-14)
+
+    def test_integrand_receives_float_arrays(self):
+        seen = []
+
+        def f(x):
+            seen.append((type(x), x.dtype, x.ndim, x.shape[-1]))
+            return np.exp(-x) * np.sin(3.0 * x)
+
+        integrate_adaptive(f, 0.0, 40.0)
+        assert len(seen) > 1  # the rule bisected at least once
+        assert set(seen) == {(np.ndarray, np.dtype(float), 2, 21)}
 
     def test_linear(self):
         assert integrate_adaptive(lambda x: x, 0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
@@ -110,11 +162,56 @@ class TestIntegrateAdaptive:
 
     def test_nonconvergence_raises(self):
         with pytest.raises(IntegrationError):
-            integrate_adaptive(lambda x: math.cos(997.0 * x) * x, 0.0, 10.0)
+            integrate_adaptive(lambda x: np.cos(997.0 * x) * x, 0.0, 10.0)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: 1.0, 1.0, 0.0)
+
+    def test_repeated_call_is_bit_identical(self):
+        link = FadingParams(7.0, 16, 20)
+        cfg = analysis.SystemConfig(ideal=False, fading_pb_st=link).with_tau(0.3)
+        for run in (lambda: integrate_adaptive(lambda x: fading.pdf(link, x), 0.0, 50.0),
+                    lambda: analysis.phi1_quadrature(cfg),
+                    lambda: analysis.phi2_quadrature(cfg)):
+            assert run().hex() == run().hex()
+
+    def test_pdf_mass_matches_scipy_quad(self):
+        # criterion 1's 88 laws
+        for k in (0.5, 7.0):
+            for mu in (1, 2, 16):
+                for m in range(mu, 21):
+                    p = FadingParams(k, mu, m)
+                    f = lambda x: fading.pdf(p, x)  # noqa: E731
+                    ref = quad_reference(f, 0.0, 50.0)
+                    assert integrate_adaptive(f, 0.0, 50.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_phi_integrand_matches_scipy_quad(self, monkeypatch):
+        taus = [0.005 + 0.01 * i for i in range(100)]  # 0.005 to 0.995
+
+        def run():
+            for base in perfbench_setups():
+                for tau in taus:
+                    analysis.phi1_quadrature(base.with_tau(tau))
+                    analysis.phi2_quadrature(base.with_tau(tau))
+
+        calls = recorded_integrals(monkeypatch, run)
+        assert len(calls) > len(taus) * 4
+        for f, a, b in calls:
+            ref = quad_reference(f, a, b)
+            assert integrate_adaptive(f, a, b) == pytest.approx(ref, rel=1e-13, abs=0.0), (a, b)
+
+    def test_steep_path_loss_matches_scipy_quad(self, monkeypatch):
+        # the configuration of `TestValidate::test_steep_path_loss_passes`
+        cfg = cli.build_config(cli.parse_config_text("alpha = 260\n"))
+        calls = recorded_integrals(
+            monkeypatch,
+            lambda: (validate.fading_normalization(cfg), validate.phi_closed_vs_quadrature(cfg)),
+        )
+        assert len(calls) == 2 + 9 * 2
+        for f, a, b in calls:
+            ref = quad_reference(f, a, b)
+            assert integrate_adaptive(f, a, b) == pytest.approx(ref, rel=1e-13, abs=0.0), (a, b)
 
 
 def test_euler_mascheroni_constant():
