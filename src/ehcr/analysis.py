@@ -145,7 +145,7 @@ def _d_star(cfg: SystemConfig, taus: np.ndarray) -> np.ndarray:
     """Effective range at each tau; inf where it lies beyond every distance."""
     with np.errstate(over="ignore"):
         base = cfg.eta * cfg.p_beacon * (1.0 - taus) / (taus * cfg.p_st_eff)
-    return (base * math.exp(fading.log_moment(cfg.fading_pb_st))) ** (1.0 / cfg.alpha_pb_st)
+        return (base * math.exp(fading.log_moment(cfg.fading_pb_st))) ** (1.0 / cfg.alpha_pb_st)
 
 
 def effective_range(cfg: SystemConfig) -> float:
@@ -172,8 +172,10 @@ def _branches(cfg: SystemConfig, taus: np.ndarray, d_star: np.ndarray):
     """
     need = taus * cfg.p_st_eff
     harvest = cfg.eta * cfg.p_beacon
-    inside = (need / (harvest * (1.0 - taus)), cfg.d_min, np.minimum(d_star, cfg.d_max))
-    outside = (need / harvest, np.maximum(d_star, cfg.d_min), cfg.d_max)
+    # a subnormal harvest sends a coefficient to +inf, its exact limit: no gain refills
+    with np.errstate(divide="ignore", over="ignore"):
+        inside = (need / (harvest * (1.0 - taus)), cfg.d_min, np.minimum(d_star, cfg.d_max))
+        outside = (need / harvest, np.maximum(d_star, cfg.d_min), cfg.d_max)
     return np.broadcast_arrays(*inside), np.broadcast_arrays(*outside)
 
 
@@ -309,9 +311,9 @@ def sweep_columns(cfg: SystemConfig, tau_grid) -> dict[str, np.ndarray]:
     """
     taus = _checked_taus(cfg, tau_grid)
     d_star = _d_star(cfg, taus)
-    # a threshold coefficient that underflows to 0 makes its branch 0 ** -x * 0,
-    # NaN; the check below names the tau instead of warning
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an underflowing threshold coefficient makes a branch 0 ** -x * 0, NaN, and a tiny
+    # alpha overflows its terms; the check below names the tau instead of warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v1, v2 = (_phi_closed_form(cfg, *branch) for branch in _branches(cfg, taus, d_star))
     p_tr = np.clip(v1 + v2, 0.0, 1.0)
     finite = np.isfinite(p_tr)

@@ -147,19 +147,30 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def build_config(values: dict) -> SystemConfig:
-    k_s = values["K_s"] if values["K_s"] is not None else values["K"]
-    m_s = values["m_s"] if values["m_s"] is not None else values["m"]
+def _keyed(values: dict, make, *keys):
+    """``make`` of the values of ``keys`` (None gives 1); a ValueError names the keys."""
     try:
-        link_pb_st = FadingParams(rician_k=values["K"], mu=values["L"], m=values["m"])
-        link_st_sr = FadingParams(rician_k=k_s, mu=1, m=m_s)
+        return make(*(1 if key is None else values[key] for key in keys))
+    except ValueError as exc:
+        named = ", ".join(f"{key} = {values[key]!r}" for key in keys if key)
+        raise ConfigError(f"invalid configuration: {exc} ({named})") from exc
+
+
+def build_config(values: dict) -> SystemConfig:
+    k_s = "K_s" if values["K_s"] is not None else "K"
+    m_s = "m_s" if values["m_s"] is not None else "m"
+    link_pb_st = _keyed(values, FadingParams, "K", "L", "m")
+    link_st_sr = _keyed(values, FadingParams, k_s, None, m_s)
+    watts = {key: _keyed(values, numerics.dbm_to_watts, key)
+             for key in ("P_b_dbm", "M_dbm", "N0_dbm", "P_c_dbm")}
+    try:
         cfg = SystemConfig(
-            p_beacon=numerics.dbm_to_watts(values["P_b_dbm"]),
-            p_st=numerics.dbm_to_watts(values["M_dbm"]),
+            p_beacon=watts["P_b_dbm"],
+            p_st=watts["M_dbm"],
             eta=values["eta"],
             tau=values["tau"],
             t_frame=values["T"],
-            noise_power=numerics.dbm_to_watts(values["N0_dbm"]),
+            noise_power=watts["N0_dbm"],
             rate=values["R"],
             alpha_pb_st=values["alpha"],
             alpha_st_sr=values["alpha_s"],
@@ -167,7 +178,7 @@ def build_config(values: dict) -> SystemConfig:
             d_max=values["d_max"],
             d_st_sr=values["d_stsr"],
             rho=values["rho"],
-            p_circuit=numerics.dbm_to_watts(values["P_c_dbm"]),
+            p_circuit=watts["P_c_dbm"],
             ideal=values["ideal"],
             fading_pb_st=link_pb_st,
             fading_st_sr=link_st_sr,
@@ -179,7 +190,8 @@ def build_config(values: dict) -> SystemConfig:
 
 
 def _check_powers(cfg: SystemConfig):
-    """Refuse a config whose SNR threshold or path loss overflows a float.
+    """Refuse a config whose SNR threshold or path loss overflows a float, or whose
+    ST-SR link noise ``d_stsr**alpha_s * N0``, which the simulator divides by, is 0.
 
     The commands compute these powers of Python floats, where an overflow
     raises `OverflowError` rather than giving inf. Every distance they raise
@@ -197,6 +209,9 @@ def _check_powers(cfg: SystemConfig):
             base**exponent
         except OverflowError as exc:
             raise ConfigError(f"invalid configuration: {power} overflows a float ({values})") from exc
+    if cfg.d_st_sr**cfg.alpha_st_sr * cfg.noise_power == 0.0:
+        raise ConfigError("invalid configuration: d_stsr**alpha_s * N0 underflows to 0, an infinite"
+                          f" SNR (d_stsr = {cfg.d_st_sr!r}, alpha_s = {cfg.alpha_st_sr!r})")
 
 
 def _read_config_values(path: str) -> dict:

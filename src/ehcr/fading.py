@@ -53,9 +53,10 @@ class FadingParams:
         omega = (mu * k + m) / (m * mu * (1.0 + k))
         p = m / (mu * k + m)
         q = mu * k / (mu * k + m)
-        weights = tuple(
-            math.comb(n_mix, j) * p**j * q ** (n_mix - j) for j in range(n_mix + 1)
-        )
+        try:
+            weights = tuple(math.comb(n_mix, j) * p**j * q ** (n_mix - j) for j in range(n_mix + 1))
+        except OverflowError:  # C(m - mu, j) exceeds every float from m - mu = 1030 on
+            raise ValueError(f"m - mu = {n_mix} is too large: weights overflow a float") from None
         shapes = tuple(m - j for j in range(n_mix + 1))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "m", m)

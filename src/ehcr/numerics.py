@@ -81,8 +81,8 @@ def digamma_integer(n: int) -> float:
 
 def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power level from dBm to watts."""
-    if not math.isfinite(p_dbm):
-        raise ValueError(f"dBm value must be finite, got {p_dbm}")
+    if not -math.inf < p_dbm <= 3112.5:  # NaN too; 3112.5 dBm is 1.78e308 W
+        raise ValueError(f"dBm value must be finite and at most 3112.5, got {p_dbm}")
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 

@@ -7,7 +7,6 @@ that ``ehcr validate`` prints, in the order in which it runs them.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -116,31 +115,10 @@ def phi_closed_vs_quadrature(cfg):
     return problems
 
 
-def _link_chunks(p, gen, n):
-    """Yield ``(first sample, gains)`` per chunk of the ``n`` gains ``fading.sample(p, gen, n)`` draws.
-
-    The link is read as one placement of `sim._gain_chunks`: a copy of
-    ``gen`` reads the component uniforms, and ``gen``, advanced past them by
-    ``n`` (one 64-bit output per uniform double), draws the gammas ``_CHUNK``
-    at a time. The gains, and the state in which ``gen`` is left, are
-    therefore ``fading.sample``'s bit for bit, for a ``gen`` that holds no
-    buffered 32-bit half (``advance`` drops it). Each chunk is a view of one
-    reused buffer, which the caller may overwrite before it asks for the next.
-    """
-    reader = copy.deepcopy(gen)
-    gen.bit_generator.advance(n)
-    for lo, gains in sim._gain_chunks(p, [reader], [gen], [*range(0, n, _CHUNK), n]):
-        yield lo, gains[:, 0]
-
-
 def jensen_bounds(cfg):
     problems = []
-    gen = np.random.default_rng(7_031)
+    gen_p, gen_s = (np.random.default_rng(s) for s in np.random.SeedSequence(7_031).spawn(2))
     n = 1_000_000
-    # gp is read whole: its gammas decide where the gs stream starts
-    gp = np.empty(n)
-    for lo, gains in _link_chunks(cfg.fading_pb_st, gen, n):
-        gp[lo:lo + len(gains)] = gains
     d_mid = 0.5 * (cfg.d_min + cfg.d_max)
     harvest = cfg.eta * cfg.p_beacon * (1.0 - cfg.tau)
     harvest_loss = cfg.tau * cfg.noise_power * d_mid**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr
@@ -168,13 +146,15 @@ def jensen_bounds(cfg):
         )
 
     harvest_moments = benchmark_moments = (0, 0.0, 0.0)
-    for lo, gs in _link_chunks(cfg.fading_st_sr, gen, n):
+    for lo in range(0, n, _CHUNK):
+        # each link from its own stream, so both are read in step
+        gp = fading.sample(cfg.fading_pb_st, gen_p, size=min(_CHUNK, n - lo))
+        gs = fading.sample(cfg.fading_st_sr, gen_s, size=len(gp))
         # eta P_b (1 - tau) gp gs / (tau N0 d_mid^a d_stsr^a_s), in gp's buffer
-        snr = gp[lo:lo + len(gs)]
-        snr *= harvest
-        snr *= gs
-        snr /= harvest_loss
-        harvest_moments = fold(harvest_moments, snr)
+        gp *= harvest
+        gp *= gs
+        gp /= harvest_loss
+        harvest_moments = fold(harvest_moments, gp)
         # p_st gs / (N0 d_stsr^a_s), in gs's buffer
         gs *= cfg.p_st
         gs /= benchmark_loss

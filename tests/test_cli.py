@@ -215,29 +215,16 @@ class TestValidate:
         monkeypatch.setattr(analysis, name, lambda *args: statistic * (1.0 + 1e-9))
         assert validate.jensen_bounds(cfg) == [problem]
 
-    @pytest.mark.parametrize("values", [{}, {"L": 16}], ids=["L1", "L16"])
-    def test_jensen_link_chunks_equal_sample(self, values):
-        # a size that leaves a partial last chunk, both links read from one
-        # generator in turn, as the suite reads them
-        cfg = build_config({**cli.CONFIG_DEFAULTS, **values})
-        n = 1_000_003
-        eager, chunked = np.random.default_rng(7_031), np.random.default_rng(7_031)
-        for link in (cfg.fading_pb_st, cfg.fading_st_sr):
-            expected = fading.sample(link, eager, size=n)
-            starts, gains = zip(*((lo, g.copy()) for lo, g in validate._link_chunks(link, chunked, n)))
-            assert list(starts) == list(range(0, n, validate._CHUNK))
-            assert np.array_equal(np.concatenate(gains), expected)
-            assert chunked.bit_generator.state == eager.bit_generator.state
-
     def test_jensen_traced_peak_memory(self):
-        # whole-array draws and capacities held 30.5 MB; gp alone is 8 MB
+        # whole-array draws and capacities held 30.5 MB, and a whole harvest
+        # stream 8 MB; one chunk of both links' draws is about 3 MB
         tracemalloc.start()
         try:
             validate.jensen_bounds(analysis.SystemConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
 
 
 def _uniform_sample_at(nd2, n=100_000):
@@ -297,11 +284,16 @@ class TestKolmogorovSmirnov:
 
 
 def _jensen_statistics(cfg):
-    """``mean + 3 sd / sqrt(n)`` of the Jensen suite's two capacities, from whole arrays."""
+    """``mean + 3 sd / sqrt(n)`` of the Jensen suite's two capacities, from whole arrays.
+
+    Each link is drawn as the suite draws it, in steps of ``validate._CHUNK``
+    from its own stream, and the steps are joined before any statistic.
+    """
     n = 1_000_000
-    gen = np.random.default_rng(7_031)
-    gp = fading.sample(cfg.fading_pb_st, gen, size=n)
-    gs = fading.sample(cfg.fading_st_sr, gen, size=n)
+    gen_p, gen_s = (np.random.default_rng(s) for s in np.random.SeedSequence(7_031).spawn(2))
+    sizes = np.diff([*range(0, n, validate._CHUNK), n])
+    gp = np.concatenate([fading.sample(cfg.fading_pb_st, gen_p, size=k) for k in sizes])
+    gs = np.concatenate([fading.sample(cfg.fading_st_sr, gen_s, size=k) for k in sizes])
     d_mid = 0.5 * (cfg.d_min + cfg.d_max)
     harvest = (
         cfg.eta * cfg.p_beacon * (1.0 - cfg.tau) * gp * gs
@@ -509,6 +501,78 @@ class TestMain:
             [line] = captured.err.splitlines()
             assert line.startswith(f"error: invalid configuration: {power} overflows a float")
             assert f"{key} = {float(value)!r}" in line
+
+    @pytest.mark.parametrize("key, value", [("m", 1100), ("m_s", 3000)])
+    def test_overflowing_mixture_weights_are_usage_error(self, tmp_path, capsys, key, value):
+        # from m - mu = 1030 a binomial coefficient of the weights exceeds every
+        # float; this once ended in an OverflowError traceback
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for argv in (["analyze"], ["range"]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"error: invalid configuration: m - mu = {value - 1} is too large")
+            assert f"{key} = {value}" in line
+
+    def test_overflowing_dbm_is_usage_error(self, tmp_path, capsys):
+        # 10 ** ((P - 30) / 10) once ended in an OverflowError traceback
+        path = tmp_path / "loud.cfg"
+        path.write_text("P_b_dbm = 10000\n")
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: invalid configuration: dBm value must be finite and at most")
+        assert line.endswith("(P_b_dbm = 10000.0)")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_harvest_is_silent(self, tmp_path, capsys):
+        # the threshold coefficient overflows to +inf, its exact limit, and once
+        # printed numpy's overflow warnings
+        path = tmp_path / "faint.cfg"
+        path.write_text("eta = 1e-320\n")
+        assert cli.main(["analyze", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for row in rows_from_csv(captured.out):
+            assert row["phi1"] == row["phi2"] == 0.0 and row["p_out"] == 1.0
+
+    def test_underflowing_link_noise_is_usage_error(self, tmp_path, capsys):
+        # simulate once divided by d_stsr**alpha_s * N0 = 0 and ended in a
+        # ZeroDivisionError traceback; validate warned, then did the same
+        path = tmp_path / "near.cfg"
+        path.write_text("d_stsr = 1e-104\n")
+        for argv in (["simulate", "--placements", "2", "--slots", "1"], ["validate"]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: invalid configuration: d_stsr**alpha_s * N0 underflows")
+            assert "d_stsr = 1e-104" in line
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_harvest_validates_silently(self, tmp_path, capsys):
+        # the quadrature oracle's threshold coefficient divided by a harvest
+        # that underflows to 0, with numpy's divide warning
+        path = tmp_path / "faint.cfg"
+        path.write_text("eta = 5e-324\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("PASS") == 9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vanishing_path_loss_exponent_is_usage_error(self, tmp_path, capsys):
+        # alpha = 1e-300 overflows the closed form's terms; the error names the
+        # tau, and numpy's overflow warnings once came before it
+        path = tmp_path / "flat.cfg"
+        path.write_text("alpha = 1e-300\n")
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and "tau = 0.05" in line
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
