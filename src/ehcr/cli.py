@@ -1,5 +1,5 @@
-"""Command-line front end: config ingestion, sweeps, simulation, and the
-runner that prints the verdicts of the `ehcr.validate` suites.
+"""Command-line front end: config ingestion, sweeps and simulation. A command's
+text is written once it is whole, so a failed command writes only ``error:``.
 
 Config files are flat ``key = value`` lines with ``#`` comments. Powers are
 given in dBm (key suffix ``_dbm``), distances in meters, the frame duration
@@ -306,24 +306,6 @@ def cmd_simulate(
     return report
 
 
-def cmd_validate(cfg: SystemConfig, stream=None) -> int:
-    """Run the suites of `validate.SUITES`, one verdict line each; exit 0 iff all pass."""
-    stream = stream if stream is not None else sys.stdout
-    code = 0
-    for name, suite in validate.SUITES:
-        notes = suite(cfg)
-        infos = [n for n in notes if n.startswith("INFO")]
-        failures = [n for n in notes if not n.startswith("INFO")]
-        detail = "; ".join(failures + infos)
-        line = f"{'FAIL' if failures else 'PASS'}  {name}"
-        if detail:
-            line += f"  [{detail}]"
-        print(line, file=stream)
-        if failures:
-            code = 1
-    return code
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
@@ -400,28 +382,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        code = 0
         if args.command == "range":
-            _write(format(analysis.effective_range(cfg), ".12g") + "\n", args)
-            return 0
-        if args.command == "validate":
-            if not args.out:
-                return cmd_validate(cfg)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                return cmd_validate(cfg, stream=fh)
-        tau_grid = parse_tau_grid(args.tau_grid)
-        if args.command == "analyze":
-            report = cmd_analyze(cfg, tau_grid)
+            text = format(analysis.effective_range(cfg), ".12g") + "\n"
+        elif args.command == "validate":
+            code, text = validate.run(cfg)
         else:
-            report = cmd_simulate(cfg, tau_grid, args.placements, args.slots, args.seed)
-        if args.format == "csv":
-            _write(report.to_csv(), args)
-            return 0
-        try:
-            text = report.to_json()
-        except ValueError as exc:  # JSON has no inf or NaN
-            raise ConfigError(f"cannot write JSON: {exc}; use --format csv") from exc
+            tau_grid = parse_tau_grid(args.tau_grid)
+            if args.command == "analyze":
+                report = cmd_analyze(cfg, tau_grid)
+            else:
+                report = cmd_simulate(cfg, tau_grid, args.placements, args.slots, args.seed)
+            if args.format == "csv":
+                text = report.to_csv()
+            else:
+                try:
+                    text = report.to_json()
+                except ValueError as exc:  # JSON has no inf or NaN
+                    raise ConfigError(f"cannot write JSON: {exc}; use --format csv") from exc
         _write(text, args)
-        return 0
+        return code
     except (ConfigError, OSError, sim.SimConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

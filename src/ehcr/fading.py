@@ -119,10 +119,7 @@ class FadingParams:
 
 def _as_nonnegative_array(x):
     arr = np.asarray(x, dtype=float)
-    # also false for NaN; a 0-d comparison is a numpy bool, whose truth value
-    # costs far less than a reduction
-    nonnegative = arr >= 0.0
-    if not (nonnegative.all() if arr.ndim else nonnegative):
+    if not (arr >= 0.0).all():  # also false for NaN
         raise ValueError("gain argument must be nonnegative, not NaN")
     return arr
 
@@ -255,11 +252,13 @@ def sample(p: FadingParams, gen: np.random.Generator, size=None):
 
 
 def sum_params(p: FadingParams, l: int) -> FadingParams:
-    """Parameter set assigned to the l-fold combined gain: mu is replaced by l.
+    """The parameters of ``p`` with mu replaced by ``l``: the law that
+    `analysis.j_correction` assigns to the sum of ``l`` harvests.
 
-    Note the returned law is unit-mean like every FadingParams, which differs
-    from the mean-l law of a literal sum of l independent unit-mean gains; the
-    simulator exposes the literal empirical sum for comparison.
+    Like every FadingParams its law is unit-mean, so it is not the law of a
+    literal sum of ``l`` independent unit-mean gains, whose mean is ``l``.
+    Nothing computes the literal sum yet; ROADMAP item 15 plans a literal
+    ``J(l)`` next to the paper's.
     """
     if l < 1 or l > p.m:
         raise ValueError(f"l must satisfy 1 <= l <= m={p.m}, got {l}")

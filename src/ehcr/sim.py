@@ -94,6 +94,9 @@ _BLOCK = 32
 _LINK_QUANTUM = 64
 # doubles per group of placements read at once from the gain streams
 _GROUP_DOUBLES = 8_192
+# largest budgets a sweep takes; a larger one is refused before anything is drawn
+_MAX_PLACEMENTS = 20_000
+_MAX_SLOTS = 1_000_000
 
 
 class SimConfigurationError(ValueError):
@@ -438,6 +441,10 @@ def _sweep_modes(cfg: SystemConfig, taus, n_placements: int, n_slots: int, seed:
         raise SimConfigurationError(
             f"n_placements must be >= 2 and n_slots >= 1, got {n_placements}, {n_slots}"
         )
+    for name, value, cap in (("n_placements", n_placements, _MAX_PLACEMENTS),
+                             ("n_slots", n_slots, _MAX_SLOTS)):
+        if value > cap:
+            raise SimConfigurationError(f"{name} must be at most {cap}, got {value}")
     if not modes:
         raise SimConfigurationError("modes must not be empty")
     for mode in modes:

@@ -2,7 +2,7 @@
 
 Each suite takes a `SystemConfig` and returns a list of notes: a note is a
 failure unless it starts with ``INFO``. `SUITES` lists them, by the name
-that ``ehcr validate`` prints, in the order in which it runs them.
+that ``ehcr validate`` prints, in the order in which `run` runs them.
 """
 
 from __future__ import annotations
@@ -253,3 +253,22 @@ SUITES = (
     ("sim-conservation", sim_conservation),
     ("sim-model-agreement", sim_model_agreement),
 )
+
+
+def run(cfg) -> tuple:
+    """Run `SUITES` in order: ``(exit code, text)``, one verdict line per suite.
+
+    A line reads ``PASS`` or ``FAIL``, the suite's name and, in brackets, its
+    failures and then its ``INFO`` notes. The code is 0 iff no suite fails.
+    """
+    code = 0
+    text = ""
+    for name, suite in SUITES:
+        notes = suite(cfg)
+        failures = [n for n in notes if not n.startswith("INFO")]
+        detail = "; ".join(failures + [n for n in notes if n.startswith("INFO")])
+        line = f"{'FAIL' if failures else 'PASS'}  {name}"
+        text += (f"{line}  [{detail}]" if detail else line) + "\n"
+        if failures:
+            code = 1
+    return code, text

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -16,7 +15,6 @@ from ehcr.cli import (
     build_config,
     cmd_analyze,
     cmd_simulate,
-    cmd_validate,
     load_config,
     parse_config_text,
     parse_tau_grid,
@@ -167,9 +165,7 @@ class TestValidate:
     # m = 1 and m = 2 leave J(3), and at m = 1 J(2), undefined; the suite skips them
     @pytest.mark.parametrize("values", [{}, {"m": 1}, {"m": 2}], ids=["default", "m1", "m2"])
     def test_default_configuration_passes(self, values):
-        stream = io.StringIO()
-        code = cmd_validate(build_config({**cli.CONFIG_DEFAULTS, **values}), stream=stream)
-        output = stream.getvalue()
+        code, output = validate.run(build_config({**cli.CONFIG_DEFAULTS, **values}))
         assert code == 0, output
         assert output.count("PASS") == 9
         assert "FAIL" not in output
@@ -186,9 +182,7 @@ class TestValidate:
         # scaling omega keeps a valid density but breaks the unit-mean identity
         link = FadingParams(7.0, 1, 20)
         object.__setattr__(link, "omega", 1.1 * link.omega)
-        stream = io.StringIO()
-        code = cmd_validate(analysis.SystemConfig(fading_pb_st=link, fading_st_sr=link), stream)
-        output = stream.getvalue()
+        code, output = validate.run(analysis.SystemConfig(fading_pb_st=link, fading_st_sr=link))
         assert code == 1
         assert "FAIL  fading-weights" in output
 
@@ -334,6 +328,41 @@ class TestMain:
             "fading-sampler-ks", "phi-closed-vs-quadrature", "jensen-bounds",
             "j-magnitude", "sim-conservation", "sim-model-agreement",
         ]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_validate_error_writes_no_verdicts(self, tmp_path, capsys, monkeypatch, to_file):
+        # the verdicts of the suites before the failing one are not written either
+        def refuse(cfg):
+            raise sim.SimConfigurationError("refused")
+
+        passing = ("passing", lambda cfg: [])
+        monkeypatch.setattr(validate, "SUITES", (passing, passing, ("refusing", refuse)))
+        out = tmp_path / "validate.txt"
+        assert cli.main(["validate", *(["--out", str(out)] if to_file else [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: refused\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--placements", sim._MAX_PLACEMENTS + 1),
+        ("--placements", 10**9),
+        ("--slots", sim._MAX_SLOTS + 1),
+        ("--slots", 10**15),
+    ])
+    def test_oversized_budget_is_usage_error(self, capsys, monkeypatch, option, value):
+        # refused before a single stream is set up; the huge values must never allocate
+        def unreachable(*args):
+            raise AssertionError("placement streams built for an oversized budget")
+
+        monkeypatch.setattr(sim, "placement_streams", unreachable)
+        argv = ["simulate", "--tau-grid", "0.5:0.5:0.1", "--placements", "4", "--slots", "10"]
+        assert cli.main([*argv, option, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: n_{option[2:]} must be at most ")
+        assert captured.err.rstrip().endswith(f"got {value}")
 
     @pytest.mark.parametrize("command, argv", [
         # options that exist on other commands, which this one does not read
