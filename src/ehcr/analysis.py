@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,14 @@ def _default_link() -> FadingParams:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full parameter set of beacon, secondary link, geometry and hardware."""
+    """Full parameter set of beacon, secondary link, geometry and hardware.
+
+    Every config that constructs can be swept, simulated and validated; a
+    refusal is a ValueError that names the fields. Those compute powers of
+    Python floats, where an overflow raises OverflowError, and every distance
+    they raise to ``alpha_pb_st`` is at most ``d_max``, the Jensen suite's
+    ``d_mid`` included.
+    """
 
     p_beacon: float = numerics.dbm_to_watts(33.0)
     p_st: float = numerics.dbm_to_watts(20.0)
@@ -79,6 +87,34 @@ class SystemConfig:
             raise ValueError("p_circuit must be nonnegative")
         if self.tau * self.p_st_eff == 0.0:
             raise ValueError(f"tau = {self.tau} spends no energy per frame (tau * p_st_eff is 0)")
+
+        def named(*names):
+            return ", ".join(f"{name} = {getattr(self, name)!r}" for name in names)
+
+        if self.p_st_eff * self.t_frame == math.inf:
+            raise ValueError("the buffer capacity p_st_eff * t_frame overflows a float"
+                             f" ({named('p_st', 'rho', 'p_circuit', 't_frame')})")
+        for power, names, base, exponent in (
+            ("2**rate", ("rate",), 2.0, self.rate),
+            ("d_st_sr**alpha_st_sr", ("d_st_sr", "alpha_st_sr"), self.d_st_sr, self.alpha_st_sr),
+            ("d_max**2", ("d_max",), self.d_max, 2.0),
+            ("d_max**alpha_pb_st", ("d_max", "alpha_pb_st"), self.d_max, self.alpha_pb_st),
+        ):
+            try:
+                base**exponent
+            except OverflowError:
+                raise ValueError(f"{power} overflows a float ({named(*names)})") from None
+        if self.d_st_sr**self.alpha_st_sr * self.noise_power == 0.0:
+            raise ValueError("d_st_sr**alpha_st_sr * noise_power underflows to 0, an infinite SNR"
+                             f" ({named('d_st_sr', 'alpha_st_sr', 'noise_power')})")
+        nearest = self.d_min**self.alpha_pb_st
+        if nearest == 0.0 or self.eta * self.t_frame * self.p_beacon / nearest == math.inf:
+            fields = named("d_min", "alpha_pb_st", "eta", "t_frame", "p_beacon")
+            raise ValueError("eta * t_frame * p_beacon / d_min**alpha_pb_st overflows, an infinite"
+                             f" harvest ({fields})")
+        # the simulator places by d_min**2, which must keep a normal float's precision
+        if self.d_min**2 < sys.float_info.min:
+            raise ValueError(f"d_min**2 is below the normal floats ({named('d_min')})")
 
     @property
     def gamma_th(self) -> float:
@@ -135,7 +171,8 @@ def benchmark_capacity_lower_bound(cfg: SystemConfig) -> float:
 def _checked_taus(cfg: SystemConfig, taus) -> np.ndarray:
     """The tau grid as a float array; the first tau `SystemConfig` rejects raises its error."""
     taus = np.asarray(taus, dtype=float)
-    ok = (taus > 0.0) & (taus < 1.0) & (taus * cfg.p_st_eff > 0.0)
+    with np.errstate(over="ignore"):  # only a tau past 1 overflows, and it is refused
+        ok = (taus > 0.0) & (taus < 1.0) & (taus * cfg.p_st_eff > 0.0)
     if not ok.all():
         cfg.with_tau(float(taus[~ok][0]))
     return taus
@@ -225,9 +262,27 @@ def phi2(cfg: SystemConfig) -> float:
     return evaluate(cfg).phi2
 
 
+def _point_mass(cfg: SystemConfig, branches, d_star: np.ndarray):
+    """phi1 and phi2 where d_min = d_max = d: the closed form's limit as the annulus closes on d.
+
+    The branch that holds d transmits with the gain survival at its threshold
+    at d, and the other never; a tie goes inside, as in the simulator's
+    slot-renewal mode.
+    """
+    (inside, *_), (outside, *_) = branches
+    held = cfg.d_max <= d_star
+    threshold = np.where(held, inside, outside) * cfg.d_max**cfg.alpha_pb_st
+    sf = fading.survival(cfg.fading_pb_st, threshold)
+    return np.where(held, sf, 0.0), np.where(held, 0.0, sf)
+
+
 def _phi_quadrature(cfg: SystemConfig, branch: int) -> float:
     taus = np.array([cfg.tau])
-    coeff, lo, hi = (float(v[0]) for v in _branches(cfg, taus, _d_star(cfg, taus))[branch])
+    d_star = _d_star(cfg, taus)
+    branches = _branches(cfg, taus, d_star)
+    if cfg.d_min == cfg.d_max:  # nothing to integrate: the point mass is the oracle too
+        return float(_point_mass(cfg, branches, d_star)[branch][0])
+    coeff, lo, hi = (float(v[0]) for v in branches[branch])
     p = cfg.fading_pb_st
     alpha = cfg.alpha_pb_st
     # past the distance whose threshold reaches `fading.survival_end` the
@@ -311,15 +366,20 @@ def sweep_columns(cfg: SystemConfig, tau_grid) -> dict[str, np.ndarray]:
     """
     taus = _checked_taus(cfg, tau_grid)
     d_star = _d_star(cfg, taus)
+    branches = _branches(cfg, taus, d_star)
     # an underflowing threshold coefficient makes a branch 0 ** -x * 0, NaN, and a tiny
     # alpha overflows its terms; the check below names the tau instead of warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v1, v2 = (_phi_closed_form(cfg, *branch) for branch in _branches(cfg, taus, d_star))
-    p_tr = np.clip(v1 + v2, 0.0, 1.0)
-    finite = np.isfinite(p_tr)
+        if cfg.d_min < cfg.d_max:
+            v1, v2 = (_phi_closed_form(cfg, *branch) for branch in branches)
+        else:
+            v1, v2 = _point_mass(cfg, branches, d_star)
+    # both branches, before the clip, which would hide an infinite one
+    finite = np.isfinite(v1 + v2)
     if not finite.all():
         tau = float(taus[~finite][0])
         raise ValueError(f"the closed-form transmission probability is not finite at tau = {tau!r}")
+    p_tr = np.clip(v1 + v2, 0.0, 1.0)
     f_snr = snr_outage_cdf(cfg)
     p_out = p_tr * f_snr + (1.0 - p_tr)
     throughput = taus * cfg.rate * (1.0 - p_out)

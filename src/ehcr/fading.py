@@ -51,6 +51,8 @@ class FadingParams:
         mu, m, k = int(self.mu), int(self.m), float(self.rician_k)
         n_mix = m - mu
         omega = (mu * k + m) / (m * mu * (1.0 + k))
+        if not 0.0 < omega < math.inf:  # a product overflowed, to 0 or NaN
+            raise ValueError(f"rician_k = {k!r} is too large: the gain scale omega is {omega}")
         p = m / (mu * k + m)
         q = mu * k / (mu * k + m)
         try:

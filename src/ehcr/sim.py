@@ -97,6 +97,7 @@ _GROUP_DOUBLES = 8_192
 # largest budgets a sweep takes; a larger one is refused before anything is drawn
 _MAX_PLACEMENTS = 20_000
 _MAX_SLOTS = 1_000_000
+_MAX_CELLS = 1_000_000  # (tau, placement) cells
 
 
 class SimConfigurationError(ValueError):
@@ -288,7 +289,9 @@ def _buffer_counts(cfg, taus, distances, chunks, warmup, tx):
 
     One `_step_slot` per slot carries every tau's buffer state; the per-slot
     levels are filled ``_BLOCK`` slots of a chunk at a time. ``tx_gain`` =
-    (1 - tau) * path_gain is the harvest scale of a transmit slot.
+    (1 - tau) * path_gain is the harvest scale of a transmit slot. A harvest,
+    or a level plus a harvest, that overflows to +inf is cut at the ceiling,
+    as any value above it is, so inf is exact here and its overflow is no fault.
     """
     t = cfg.t_frame
     capacity = cfg.p_st_eff * t
@@ -304,17 +307,19 @@ def _buffer_counts(cfg, taus, distances, chunks, warmup, tx):
     # tuples once; a 0-d capacity spares each ufunc call converting a float
     ceiling = np.array(capacity)
     slots = [(stored, ceiling, *views, level) for views in zip(idle, after_tx, silent)]
-    for lo, gains in chunks:
-        for a in range(0, len(gains), _BLOCK):
-            block = gains[a:a + _BLOCK, None]
-            n = len(block)
-            _slot_terms(capacity, consumption, path_gain, tx_gain, block, idle[:n], after_tx[:n])
-            for args in slots[:n]:
-                _step_slot(*args)
-            first = max(warmup - lo - a, 0)
-            if first < n:
-                tx += n - first
-                tx -= silent[first:n].sum(axis=0)
+    with np.errstate(over="ignore"):
+        for lo, gains in chunks:
+            for a in range(0, len(gains), _BLOCK):
+                block = gains[a:a + _BLOCK, None]
+                n = len(block)
+                _slot_terms(capacity, consumption, path_gain, tx_gain, block, idle[:n],
+                            after_tx[:n])
+                for args in slots[:n]:
+                    _step_slot(*args)
+                first = max(warmup - lo - a, 0)
+                if first < n:
+                    tx += n - first
+                    tx -= silent[first:n].sum(axis=0)
 
 
 def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
@@ -380,7 +385,8 @@ def _link_successes(cfg, gens, n_total, most):
             gen.standard_gamma(uniforms[span], out=gains[span])
         g = gains[:n]
         g *= p.omega
-        g *= snr_scale
+        with np.errstate(over="ignore"):  # an SNR past every float passes, as inf does
+            g *= snr_scale
         np.greater(g, cfg.gamma_th, out=ok[:n])
         for span in spans:
             successes = np.zeros(span.stop - span.start + 1, dtype=np.int64)
@@ -428,14 +434,11 @@ def _estimates(cfg, taus, tx, ok, n_slots, seed):
     return estimates
 
 
-def _sweep_modes(cfg: SystemConfig, taus, n_placements: int, n_slots: int, seed: int, modes):
-    """``{mode: run_sweep(..., mode)}`` for each of ``modes``, from one draw of the streams.
+def check_budget(n_taus: int, n_placements: int, n_slots: int, seed: int):
+    """Refuse a Monte Carlo budget, with `SimConfigurationError`, before any work.
 
-    Each harvest chunk is drawn once and counted by every mode before the
-    next is drawn; the renewal counter passes the chunks on to the buffer's.
-    Each link stream is read once, as far as the largest transmit count
-    over all modes, and link reads are prefix-stable, so every mode's
-    estimates equal those of its own `run_sweep` exactly.
+    The caps bound what a sweep holds: about 18 KB a placement, 25 bytes a slot
+    and 330 bytes a (tau, placement) cell, most of it the buffer update's scratch.
     """
     if n_placements < 2 or n_slots < 1:
         raise SimConfigurationError(
@@ -445,16 +448,28 @@ def _sweep_modes(cfg: SystemConfig, taus, n_placements: int, n_slots: int, seed:
                              ("n_slots", n_slots, _MAX_SLOTS)):
         if value > cap:
             raise SimConfigurationError(f"{name} must be at most {cap}, got {value}")
-    if not modes:
-        raise SimConfigurationError("modes must not be empty")
-    for mode in modes:
-        if mode not in MODES:
-            raise SimConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     if int(seed) < 0:
         raise SimConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    taus = analysis._checked_taus(cfg, taus)
-    if not len(taus):
+    if n_taus < 1:
         raise SimConfigurationError("taus must not be empty")
+    if n_taus * n_placements > _MAX_CELLS:
+        raise SimConfigurationError(f"len(taus) * n_placements must be at most {_MAX_CELLS},"
+                                    f" got {n_taus} * {n_placements}")
+
+
+def _sweep_modes(cfg: SystemConfig, taus, n_placements: int, n_slots: int, seed: int, modes):
+    """``{mode: run_sweep(..., mode)}`` for each of ``modes``, from one draw of the streams.
+
+    Each harvest chunk is drawn once and counted by every mode before the
+    next is drawn; the renewal counter passes the chunks on to the buffer's.
+    Each link stream is read once, as far as the largest transmit count
+    over all modes, and link reads are prefix-stable, so every mode's
+    estimates equal those of its own `run_sweep` exactly.
+    """
+    check_budget(len(taus), n_placements, n_slots, seed)
+    if not modes or not set(modes) <= set(MODES):
+        raise SimConfigurationError(f"modes must be some of {MODES}, got {modes!r}")
+    taus = analysis._checked_taus(cfg, taus)
 
     warmup = warmup_slots(n_slots)
     n_total = warmup + n_slots

@@ -54,6 +54,29 @@ class TestSystemConfig:
             default_config(tau=5e-324)
         assert default_config(tau=1e-310).tau == 1e-310
 
+    @pytest.mark.parametrize("fields, refused", [
+        ({"rate": 2000.0}, "2**rate overflows a float (rate = 2000.0)"),
+        ({"d_max": 1e300}, "d_max**2 overflows a float (d_max = 1e+300)"),
+        ({"alpha_st_sr": 400.0},
+         "d_st_sr**alpha_st_sr overflows a float (d_st_sr = 30.0, alpha_st_sr = 400.0)"),
+        ({"alpha_pb_st": 400.0},
+         "d_max**alpha_pb_st overflows a float (d_max = 15.0, alpha_pb_st = 400.0)"),
+        ({"d_st_sr": 1e-104}, "d_st_sr**alpha_st_sr * noise_power underflows to 0"),
+        ({"d_min": 1e-300, "d_max": 1e-300}, "d_min**alpha_pb_st overflows, an infinite harvest"),
+        ({"d_min": 1.2e-133, "d_max": 1.2e-133}, "overflows, an infinite harvest"),
+        ({"d_min": 5e-324, "d_max": 1e-162, "alpha_pb_st": 1.0, "p_beacon": 1e-300},
+         "d_min**2 is below the normal floats"),
+        ({"p_st": 1e300, "t_frame": 1e300}, "p_st_eff * t_frame overflows a float"),
+        ({"p_st": 1.7976931348623157e308, "ideal": False}, "p_st_eff * t_frame overflows a float"),
+    ])
+    def test_refuses_what_no_consumer_can_compute(self, fields, refused):
+        # each of these once constructed, and then a sweep or a simulation raised
+        # OverflowError or ZeroDivisionError, or numpy warned
+        with pytest.raises(ValueError, match=re.escape(refused)) as info:
+            default_config(**fields)
+        name, value = next(iter(fields.items()))
+        assert f"{name} = {value!r}" in str(info.value)
+
 
 class TestCapacityBounds:
     def test_vanishing_efficiency(self):
@@ -213,6 +236,54 @@ class TestPhi:
             assert 0.0 <= total <= 1.0
 
 
+class TestPointMass:
+    """d_min = d_max: every placement sits at one distance d."""
+
+    D = 5.0
+
+    @pytest.mark.parametrize("antennas", [1, 16])
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_is_the_limit_of_a_closing_annulus(self, antennas, ideal):
+        # both branch intervals are empty here, and the closed form once read p_tr = 0
+        link = FadingParams(7.0, antennas, 20)
+        cfg = default_config(d_min=self.D, d_max=self.D, ideal=ideal, fading_pb_st=link)
+        near = default_config(d_min=self.D, d_max=self.D * (1.0 + 1e-9), ideal=ideal,
+                              fading_pb_st=link)
+        taus = np.linspace(0.05, 0.95, 19)
+        point, limit = analysis.sweep_columns(cfg, taus), analysis.sweep_columns(near, taus)
+        # the grid puts d inside the effective range at some taus and beyond it at others
+        assert (point["d_star"] > self.D).any() and (point["d_star"] < self.D).any()
+        assert (point["p_tr"] > 0.1).any()
+        for name in ("phi1", "phi2", "p_tr", "p_out", "throughput"):
+            np.testing.assert_allclose(point[name], limit[name], rtol=0.0, atol=1e-6)
+
+    def test_branch_holds_the_distance(self):
+        cfg = default_config(d_min=self.D, d_max=self.D)
+        taus = np.array([0.1, 0.9])
+        point = analysis.sweep_columns(cfg, taus)
+        (inside, *_), (outside, *_) = analysis._branches(cfg, taus, point["d_star"])
+        power = self.D**cfg.alpha_pb_st
+        # d inside the effective range at tau 0.1, beyond it at tau 0.9
+        survival = fading.survival(cfg.fading_pb_st, np.array([inside[0], outside[1]]) * power)
+        assert point["phi1"][0] == pytest.approx(survival[0], rel=1e-14)
+        assert point["phi2"][1] == pytest.approx(survival[1], rel=1e-14)
+        assert point["phi2"][0] == point["phi1"][1] == 0.0
+
+    def test_tie_goes_inside(self):
+        # the simulator's slot-renewal mode counts d = d_star inside the range
+        tau = 0.3
+        d = analysis.effective_range(default_config(tau=tau))
+        cfg = default_config(d_min=d, d_max=d, tau=tau)
+        assert analysis.effective_range(cfg) == d
+        assert analysis.phi1(cfg) > 0.0 and analysis.phi2(cfg) == 0.0
+
+    def test_quadrature_oracle_agrees(self):
+        for tau in (0.1, 0.5, 0.9):
+            cfg = default_config(d_min=self.D, d_max=self.D, tau=tau)
+            assert analysis.phi1_quadrature(cfg) == analysis.phi1(cfg)
+            assert analysis.phi2_quadrature(cfg) == analysis.phi2(cfg)
+
+
 class TestJCorrection:
     def test_zero_at_tiny_distance(self):
         assert analysis.j_correction(default_config(), 2, 1e-6) == pytest.approx(0.0, abs=1e-12)
@@ -326,6 +397,13 @@ class TestSweepEngine:
         cfg = default_config(p_beacon=1e297)
         with pytest.raises(ValueError, match=r"tau = 1e-300$"):
             analysis.sweep(cfg, [0.5, 1e-300, 1e-301])
+
+    def test_names_first_tau_with_infinite_branch(self):
+        # at alpha = 1 the inside branch overflows to inf at this tau; the clip to
+        # [0, 1] made p_tr 1.0, and the row was written with phi1 = inf
+        cfg = default_config(alpha_pb_st=1.0)
+        with pytest.raises(ValueError, match=r"tau = 1e-154$"):
+            analysis.sweep(cfg, [0.5, 1e-154])
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, math.nan, 5e-324])
     @pytest.mark.parametrize("position", [0, 2, 4])

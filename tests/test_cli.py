@@ -364,6 +364,40 @@ class TestMain:
         assert captured.err.startswith(f"error: n_{option[2:]} must be at most ")
         assert captured.err.rstrip().endswith(f"got {value}")
 
+    @pytest.mark.parametrize("option, value, refused", [
+        pytest.param("--placements", "20000", "len(taus) * n_placements", id="cells"),
+        pytest.param("--slots", "1000000000000000", "n_slots", id="slots"),
+    ])
+    def test_oversized_sweep_is_refused_before_any_work(self, capsys, monkeypatch, option, value,
+                                                         refused):
+        # 99 999 taus: the budget is refused before the analytic sweep and the streams
+        def unreachable(*args):
+            raise AssertionError("work started for an oversized budget")
+
+        monkeypatch.setattr(analysis, "sweep_columns", unreachable)
+        monkeypatch.setattr(sim, "placement_streams", unreachable)
+        argv = ["simulate", "--tau-grid", "0.00001:0.99999:0.00001", option, value]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {refused} must be at most ")
+
+    def test_cached_parser_keeps_no_options(self, capsys):
+        # one parser serves every call, so a call's options must not outlive it
+        assert cli.build_parser() is cli.build_parser()
+        for command, options in (
+            (["analyze"], ["--rate", "2", "--L", "4", "--non-ideal", "--tau-grid", "0.2:0.4:0.1"]),
+            (["simulate", "--slots", "20", "--placements", "4"],
+             ["--rate", "2", "--ideal", "--seed", "9", "--tau-grid", "0.3:0.3:0.1"]),
+            (["range"], ["--tau", "0.2", "--L", "2", "--non-ideal"]),
+        ):
+            outputs = []
+            for argv in (command, [*command, *options], command):
+                assert cli.main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[2] == outputs[0] != outputs[1]
+
     @pytest.mark.parametrize("command, argv", [
         # options that exist on other commands, which this one does not read
         pytest.param("range", ["--tau-grid", "nonsense"], id="range-tau-grid"),
@@ -512,14 +546,18 @@ class TestMain:
         assert captured.err.startswith("error:")
         assert "tau = 1e-300" in captured.err
 
-    @pytest.mark.parametrize("key, value, power", [
-        ("R", "2000", "2**R"),
-        ("d_max", "1e300", "d_max**2"),
-        ("alpha_s", "400", "d_stsr**alpha_s"),
-        ("d_stsr", "1e300", "d_stsr**alpha_s"),
-        ("alpha", "400", "d_max**alpha"),
+    # the ids name the config keys; the errors name the `SystemConfig` fields
+    @pytest.mark.parametrize("key, value, power, field", [
+        pytest.param("R", "2000", "2**rate", "rate", id="R-2000-2**R"),
+        pytest.param("d_max", "1e300", "d_max**2", "d_max", id="d_max-1e300-d_max**2"),
+        pytest.param("alpha_s", "400", "d_st_sr**alpha_st_sr", "alpha_st_sr",
+                     id="alpha_s-400-d_stsr**alpha_s"),
+        pytest.param("d_stsr", "1e300", "d_st_sr**alpha_st_sr", "d_st_sr",
+                     id="d_stsr-1e300-d_stsr**alpha_s"),
+        pytest.param("alpha", "400", "d_max**alpha_pb_st", "alpha_pb_st",
+                     id="alpha-400-d_max**alpha"),
     ])
-    def test_overflowing_power_is_usage_error(self, tmp_path, capsys, key, value, power):
+    def test_overflowing_power_is_usage_error(self, tmp_path, capsys, key, value, power, field):
         # each of these once ended in an OverflowError traceback
         path = tmp_path / "huge.cfg"
         path.write_text(f"{key} = {value}\n")
@@ -529,7 +567,7 @@ class TestMain:
             assert captured.out == ""
             [line] = captured.err.splitlines()
             assert line.startswith(f"error: invalid configuration: {power} overflows a float")
-            assert f"{key} = {float(value)!r}" in line
+            assert f"{field} = {float(value)!r}" in line
 
     @pytest.mark.parametrize("key, value", [("m", 1100), ("m_s", 3000)])
     def test_overflowing_mixture_weights_are_usage_error(self, tmp_path, capsys, key, value):
@@ -573,13 +611,29 @@ class TestMain:
         # ZeroDivisionError traceback; validate warned, then did the same
         path = tmp_path / "near.cfg"
         path.write_text("d_stsr = 1e-104\n")
-        for argv in (["simulate", "--placements", "2", "--slots", "1"], ["validate"]):
+        for argv in (["analyze"], ["simulate", "--placements", "2", "--slots", "1"], ["validate"]):
             assert cli.main([*argv, "--config", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             [line] = captured.err.splitlines()
-            assert line.startswith("error: invalid configuration: d_stsr**alpha_s * N0 underflows")
-            assert "d_stsr = 1e-104" in line
+            assert line.startswith(
+                "error: invalid configuration: d_st_sr**alpha_st_sr * noise_power underflows")
+            assert "d_st_sr = 1e-104" in line
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vanishing_harvest_distance_is_usage_error(self, tmp_path, capsys):
+        # d_min**alpha underflows to 0, and simulate divided the harvest by it,
+        # with numpy's divide warning
+        path = tmp_path / "close.cfg"
+        path.write_text("d_min = 1e-300\nd_max = 1e-300\n")
+        for argv in (["analyze"], ["simulate", "--placements", "2", "--slots", "1"], ["validate"]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: invalid configuration: eta * t_frame * p_beacon"
+                                   " / d_min**alpha_pb_st overflows, an infinite harvest")
+            assert "d_min = 1e-300" in line
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_harvest_validates_silently(self, tmp_path, capsys):

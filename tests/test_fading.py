@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,12 @@ class TestConstruction:
     def test_rejects_mu_above_m(self):
         with pytest.raises(ValueError):
             FadingParams(7.0, 16, 5)
+
+    @pytest.mark.parametrize("k, mu, m", [(1.7976931348623157e308, 2, 2), (1e307, 1, 20)])
+    def test_rejects_rician_k_whose_scale_overflows(self, k, mu, m):
+        # mu * k + m overflows, and omega was NaN; or m * mu * (1 + k) does, and it was 0
+        with pytest.raises(ValueError, match=re.escape(f"rician_k = {k!r} is too large")):
+            FadingParams(k, mu, m)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ehcr import analysis, fading, sim, validate
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
 from ehcr.sim import SimConfigurationError
+from test_fuzz import floats as fuzz_floats
 
 
 def default_config(**overrides) -> SystemConfig:
@@ -626,3 +628,67 @@ class TestSeed:
         base = sim.placement_streams(cfg, 4, 1, seed=2**63 - 1)[0]
         for other in (2**64 + 2**63 - 1, 2**127 + 2**63 - 1):
             assert not np.array_equal(base, sim.placement_streams(cfg, 4, 1, seed=other)[0])
+
+
+class TestBudget:
+    def test_cell_cap(self):
+        # the default 19-point grid at the placement cap fits; one cell over the cap does not
+        sim.check_budget(19, sim._MAX_PLACEMENTS, 1, 1)
+        sim.check_budget(sim._MAX_CELLS // 1000, 1000, 1, 1)
+        with pytest.raises(SimConfigurationError, match=r"len\(taus\) \* n_placements"):
+            sim.check_budget(sim._MAX_CELLS // 1000 + 1, 1000, 1, 1)
+
+    def test_refused_before_any_stream(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("placement streams built for an oversized budget")
+
+        monkeypatch.setattr(sim, "placement_streams", unreachable)
+        taus = np.linspace(0.01, 0.99, sim._MAX_CELLS // 1000 + 1)
+        with pytest.raises(SimConfigurationError, match=r"len\(taus\) \* n_placements"):
+            sim.run_sweep(default_config(), taus, 1000, 1, 1)
+
+
+LIBRARY_FLOATS = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "float"]
+# the fuzz's floats, as magnitudes: most negative values are refused for their sign alone
+magnitudes = fuzz_floats.map(abs)
+links = st.none() | st.tuples(magnitudes, st.integers(1, 6), st.integers(1, 6))
+
+
+class TestLibraryContract:
+    """Every `SystemConfig` that constructs can be swept and simulated.
+
+    Fields are drawn as the CLI fuzz draws config values (log-uniform across
+    the whole float range, or edge values), with small links, and the taus
+    from the same values in (0, 1). A sweep or a simulation either gives
+    finite values or raises `ValueError`; nothing else escapes and no numpy
+    warning is raised.
+    """
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(fields=st.dictionaries(st.sampled_from(LIBRARY_FLOATS), magnitudes, max_size=4),
+           ideal=st.booleans(), pb_st=links, st_sr=links,
+           taus=st.lists(magnitudes.filter(lambda t: 0.0 < t < 1.0), min_size=1, max_size=3))
+    def test_constructed_config_computes(self, fields, ideal, pb_st, st_sr, taus):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                for name, link in (("fading_pb_st", pb_st), ("fading_st_sr", st_sr)):
+                    if link is not None:
+                        fields[name] = FadingParams(*link)
+                cfg = SystemConfig(ideal=ideal, **fields)
+            except ValueError:
+                return
+            try:
+                columns = analysis.sweep_columns(cfg, taus)
+            except ValueError:
+                pass
+            else:
+                d_star = columns.pop("d_star")
+                assert (d_star >= 0.0).all()
+                assert all(np.isfinite(column).all() for column in columns.values()), columns
+            try:
+                estimates = sim.run_sweep(cfg, taus, 2, 2, 1)
+            except ValueError:
+                return
+            for estimate in estimates:
+                assert all(math.isfinite(v) for v in dataclasses.astuple(estimate)), estimate
