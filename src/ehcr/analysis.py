@@ -145,27 +145,41 @@ class MetricPoint:
     throughput: float
 
 
+def _log2_snr(cfg: SystemConfig, d_pbst: float | None = None) -> float:
+    """log2 of a link's SNR per unit of its gain, summed from the logs of the factors.
+
+    The harvested-power link's at beacon distance ``d_pbst``, or, with None,
+    the benchmark link's at ``p_st``. No product of the factors is formed, so
+    neither a subnormal noise power nor an SNR past every float moves it.
+    """
+    log2 = math.log2
+    loss = log2(cfg.noise_power) + cfg.alpha_st_sr * log2(cfg.d_st_sr)
+    if d_pbst is None:
+        return log2(cfg.p_st) - loss
+    return (log2(cfg.eta) + log2(cfg.p_beacon) + log2(1.0 - cfg.tau) - log2(cfg.tau)
+            - cfg.alpha_pb_st * log2(d_pbst) - loss)
+
+
+def _capacity(tau: float, log2_snr: float) -> float:
+    """``tau * log2(1 + snr)`` from ``log2(snr)``, finite wherever that is."""
+    if log2_snr > 0.0:
+        return tau * (log2_snr + math.log2(1.0 + 2.0**-log2_snr))
+    return tau * math.log2(1.0 + 2.0**log2_snr)
+
+
 def capacity_lower_bound(cfg: SystemConfig, d_pbst: float) -> float:
     """Log-moment (Jensen) lower bound on capacity with harvested power."""
     if d_pbst <= 0.0:
         raise ValueError("d_pbst must be positive")
     e_p = fading.log_moment(cfg.fading_pb_st)
     e_s = fading.log_moment(cfg.fading_st_sr)
-    snr = (
-        cfg.eta
-        * cfg.p_beacon
-        * (1.0 - cfg.tau)
-        * math.exp(e_p + e_s)
-        / (cfg.tau * cfg.noise_power * d_pbst**cfg.alpha_pb_st * cfg.d_st_sr**cfg.alpha_st_sr)
-    )
-    return cfg.tau * math.log2(1.0 + snr)
+    return _capacity(cfg.tau, _log2_snr(cfg, d_pbst) + (e_p + e_s) / math.log(2.0))
 
 
 def benchmark_capacity_lower_bound(cfg: SystemConfig) -> float:
     """Jensen lower bound on capacity with the fixed secondary transmit power."""
     e_s = fading.log_moment(cfg.fading_st_sr)
-    snr = cfg.p_st * math.exp(e_s) / (cfg.noise_power * cfg.d_st_sr**cfg.alpha_st_sr)
-    return cfg.tau * math.log2(1.0 + snr)
+    return _capacity(cfg.tau, _log2_snr(cfg) + e_s / math.log(2.0))
 
 
 def _checked_taus(cfg: SystemConfig, taus) -> np.ndarray:

@@ -380,7 +380,7 @@ def main(argv=None) -> int:
                     raise ConfigError(f"cannot write JSON: {exc}; use --format csv") from exc
         _write(text, args)
         return code
-    except (ConfigError, OSError, sim.SimConfigurationError) as exc:
+    except (ConfigError, OSError, sim.SimConfigurationError, validate.Refused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

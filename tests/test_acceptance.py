@@ -9,13 +9,10 @@ import math
 import time
 
 import numpy as np
-import pytest
-from scipy import stats
 
-from ehcr import analysis, cli, fading, sim
+from ehcr import analysis, cli, sim, validate
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
-from ehcr.numerics import integrate_adaptive
 
 TAU_GRID = [i / 10 for i in range(1, 10)]
 KS_MASTER_SEED = 8  # fixed so the 88-combo sampler check is reproducible
@@ -47,18 +44,10 @@ def test_criterion_1_distribution_correctness():
     for k in (0.5, 7.0):
         for mu in (1, 2, 16):
             for m in range(mu, 21):
-                p = FadingParams(k, mu, m)
-                mean = math.fsum(w * s * p.omega for w, s in zip(p.weights, p.shapes))
-                if abs(mean - 1.0) > 1e-12:
-                    failures.append(f"mean identity ({k},{mu},{m})")
-                mass = integrate_adaptive(lambda x: fading.pdf(p, x), 0.0, 50.0)
-                if abs(mass - 1.0) > 1e-9:
-                    failures.append(f"normalization ({k},{mu},{m}): {mass!r}")
+                law, name = FadingParams(k, mu, m), f"({k},{mu},{m})"
                 gen = np.random.default_rng([KS_MASTER_SEED, int(k * 10), mu, m])
-                draws = fading.sample(p, gen, size=100_000)
-                pvalue = stats.kstest(draws, lambda x: fading.cdf(p, x)).pvalue
-                if pvalue <= 0.01:
-                    failures.append(f"KS ({k},{mu},{m}): p={pvalue:.4g}")
+                failures += validate.law_weights(name, law) + validate.law_mass(name, law)
+                failures += validate.law_sample(name, law, gen)
     elapsed = time.perf_counter() - started
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s >= 30s")
@@ -69,19 +58,11 @@ def test_criterion_1_distribution_correctness():
 
 def test_criterion_2_closed_form_vs_quadrature():
     started = time.perf_counter()
-    failures = []
-    for antennas, ideal, base in four_setups():
-        for tau in TAU_GRID:
-            cfg = base.with_tau(tau)
-            for name, closed, oracle in (
-                ("phi1", analysis.phi1(cfg), analysis.phi1_quadrature(cfg)),
-                ("phi2", analysis.phi2(cfg), analysis.phi2_quadrature(cfg)),
-            ):
-                if abs(closed - oracle) > 1e-7 * max(abs(oracle), 1e-300):
-                    failures.append(
-                        f"{name} L={antennas} ideal={ideal} tau={tau}: "
-                        f"{closed!r} vs {oracle!r}"
-                    )
+    failures = [
+        f"L={antennas} ideal={ideal} {note}"
+        for antennas, ideal, base in four_setups()
+        for note in validate.phi_closed_vs_quadrature(base)
+    ]
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.1f}s >= 10s")
@@ -179,12 +160,10 @@ def test_criterion_6_throughput_trends():
 
 
 def test_criterion_7_correction_term_magnitude():
-    cfg = default_config()
-    j2 = analysis.j_correction(cfg, 2, cfg.d_max)
-    j3 = analysis.j_correction(cfg, 3, cfg.d_max)
-    ok = verdict("7 correction-term magnitude", j2 <= 1e-5 and j3 <= 1e-7,
-                 f"J(2)={j2:.3g}, J(3)={j3:.3g}")
-    assert ok
+    # J(2) <= 1e-5 and J(3) <= 1e-7 at d_max; a skipped J would be an INFO note
+    notes = validate.j_magnitude(default_config())
+    ok = verdict("7 correction-term magnitude", not notes, "; ".join(notes))
+    assert ok, notes
 
 
 def test_criterion_8_hardware_overhead_constant(tmp_path):

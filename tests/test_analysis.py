@@ -97,6 +97,22 @@ class TestCapacityBounds:
     def test_benchmark_vanishing_power(self):
         assert analysis.benchmark_capacity_lower_bound(default_config(p_st=1e-18)) < 1e-3
 
+    def test_bounds_past_every_float(self):
+        # at a noise power of five subnormal steps the SNRs pass every float
+        # (each capacity is about 500 bits), and both bounds once read inf
+        import mpmath
+
+        cfg = default_config(noise_power=2.5e-323)
+        mp = mpmath.mp.clone()
+        mp.prec = 80
+        e_p, e_s = (mp.exp(fading.log_moment(link)) for link in (cfg.fading_pb_st, cfg.fading_st_sr))
+        loss = mp.mpf(cfg.noise_power) * mp.mpf(cfg.d_st_sr) ** cfg.alpha_st_sr
+        harvest = (mp.mpf(cfg.eta) * cfg.p_beacon * (1 - mp.mpf(cfg.tau)) * e_p * e_s
+                   / (cfg.tau * mp.mpf(5.0) ** cfg.alpha_pb_st * loss))
+        for bound, snr in ((analysis.capacity_lower_bound(cfg, 5.0), harvest),
+                           (analysis.benchmark_capacity_lower_bound(cfg), cfg.p_st * e_s / loss)):
+            assert bound == pytest.approx(float(cfg.tau * mp.log(1 + snr, 2)), rel=1e-13)
+
     def test_jensen_bound_below_monte_carlo(self):
         cfg = default_config()
         gen = np.random.default_rng(31)

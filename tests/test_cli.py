@@ -209,6 +209,42 @@ class TestValidate:
         monkeypatch.setattr(analysis, name, lambda *args: statistic * (1.0 + 1e-9))
         assert validate.jensen_bounds(cfg) == [problem]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jensen_snr_past_every_float(self, tmp_path, capsys, monkeypatch):
+        # at N0 = -3062 dBm each capacity is about 510 bits, but the SNR before
+        # the log passed every float: the statistics were NaN, with numpy's
+        # warnings, and the suite passed on them
+        path = tmp_path / "quiet.cfg"
+        path.write_text("N0_dbm = -3062\nd_stsr = 1\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("PASS") == 9
+        # both statistics are finite and lie between 500 and 520 bits
+        cfg = cli.load_config(str(path))
+        for name in ("capacity_lower_bound", "benchmark_capacity_lower_bound"):
+            monkeypatch.setattr(analysis, name, lambda *args: 500.0)
+        assert validate.jensen_bounds(cfg) == []
+        for name in ("capacity_lower_bound", "benchmark_capacity_lower_bound"):
+            monkeypatch.setattr(analysis, name, lambda *args: 520.0)
+        assert len(validate.jensen_bounds(cfg)) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jensen_tiny_tau(self):
+        # at tau = 1e-300 the capacities are about 1e-297 and the squares of
+        # their deviations underflowed, so the spread that covers the Monte
+        # Carlo error read 0
+        link = FadingParams(1.0, 1, 1)
+        cfg = analysis.SystemConfig(tau=1e-300, ideal=False, fading_pb_st=link, fading_st_sr=link)
+        assert validate.jensen_bounds(cfg) == []
+
+    def test_closed_form_gap_is_relative_at_any_magnitude(self, monkeypatch):
+        # a gap of 1e-20 on values near 1e-15 is 1e-5 relative; a floor of
+        # 1e-12 under the oracle's magnitude once let it pass
+        monkeypatch.setattr(analysis, "phi1", lambda cfg: 1e-15)
+        monkeypatch.setattr(analysis, "phi1_quadrature", lambda cfg: 1e-15 + 1e-20)
+        notes = validate.phi_closed_vs_quadrature(analysis.SystemConfig())
+        assert [note.split(":")[0] for note in notes] == [f"phi1 at tau={i / 10:.1f}" for i in range(1, 10)]
+
     def test_jensen_traced_peak_memory(self):
         # whole-array draws and capacities held 30.5 MB, and a whole harvest
         # stream 8 MB; one chunk of both links' draws is about 3 MB
@@ -656,6 +692,17 @@ class TestMain:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("error:") and "tau = 0.05" in line
+
+    def test_nonfinite_closed_form_refuses_validate(self, tmp_path, capsys):
+        # at alpha = 0.01 the closed form is not finite at validate's taus;
+        # validate once ended in a ValueError traceback where analyze exits 2
+        path = tmp_path / "flat.cfg"
+        path.write_text("alpha = 0.01\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and "tau = 0.1" in line
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"

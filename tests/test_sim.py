@@ -654,29 +654,40 @@ magnitudes = fuzz_floats.map(abs)
 links = st.none() | st.tuples(magnitudes, st.integers(1, 6), st.integers(1, 6))
 
 
+# a drawn `SystemConfig`'s fields and links, for `_drawn_config`
+drawn_configs = dict(fields=st.dictionaries(st.sampled_from(LIBRARY_FLOATS), magnitudes, max_size=4),
+                     ideal=st.booleans(), pb_st=links, st_sr=links)
+
+
+def _drawn_config(fields, ideal, pb_st, st_sr):
+    """The `SystemConfig` of the drawn values, or None where it refuses them."""
+    links = {"fading_pb_st": pb_st, "fading_st_sr": st_sr}
+    try:
+        links = {name: FadingParams(*link) for name, link in links.items() if link is not None}
+        return SystemConfig(ideal=ideal, **fields, **links)
+    except ValueError:
+        return None
+
+
 class TestLibraryContract:
-    """Every `SystemConfig` that constructs can be swept and simulated.
+    """Every `SystemConfig` that constructs can be swept, simulated and validated.
 
     Fields are drawn as the CLI fuzz draws config values (log-uniform across
     the whole float range, or edge values), with small links, and the taus
     from the same values in (0, 1). A sweep or a simulation either gives
-    finite values or raises `ValueError`; nothing else escapes and no numpy
+    finite values or raises `ValueError`; `validate.run` gives its nine
+    verdicts or raises `validate.Refused`; nothing else escapes and no numpy
     warning is raised.
     """
 
     @settings(max_examples=250, deadline=None, derandomize=True)
-    @given(fields=st.dictionaries(st.sampled_from(LIBRARY_FLOATS), magnitudes, max_size=4),
-           ideal=st.booleans(), pb_st=links, st_sr=links,
+    @given(**drawn_configs,
            taus=st.lists(magnitudes.filter(lambda t: 0.0 < t < 1.0), min_size=1, max_size=3))
     def test_constructed_config_computes(self, fields, ideal, pb_st, st_sr, taus):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            try:
-                for name, link in (("fading_pb_st", pb_st), ("fading_st_sr", st_sr)):
-                    if link is not None:
-                        fields[name] = FadingParams(*link)
-                cfg = SystemConfig(ideal=ideal, **fields)
-            except ValueError:
+            cfg = _drawn_config(fields, ideal, pb_st, st_sr)
+            if cfg is None:
                 return
             try:
                 columns = analysis.sweep_columns(cfg, taus)
@@ -692,3 +703,24 @@ class TestLibraryContract:
                 return
             for estimate in estimates:
                 assert all(math.isfinite(v) for v in dataclasses.astuple(estimate)), estimate
+
+    # one validate job takes about 0.3 s; 5 of these 20 drawn configs construct
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**drawn_configs)
+    # an SNR past every float (N0 = -3062 dBm), and a closed form that is not finite
+    @example(fields={"noise_power": 6.3e-310, "d_st_sr": 1.0}, ideal=True, pb_st=None, st_sr=None)
+    @example(fields={"alpha_pb_st": 0.01}, ideal=True, pb_st=None, st_sr=None)
+    def test_constructed_config_validates(self, fields, ideal, pb_st, st_sr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cfg = _drawn_config(fields, ideal, pb_st, st_sr)
+            if cfg is None:
+                return
+            try:
+                code, text = validate.run(cfg)
+            except validate.Refused as exc:
+                assert "at tau = " in str(exc)
+                return
+        verdicts = text.splitlines()
+        assert [v.split()[1] for v in verdicts] == [name for name, _ in validate.SUITES]
+        assert code == (1 if any(v.startswith("FAIL") for v in verdicts) else 0), text
