@@ -1,12 +1,11 @@
 """Energy-harvesting interweave cognitive-radio link: analysis and simulation."""
 
-from .analysis import MetricPoint, SystemConfig
+from .analysis import SystemConfig
 from .fading import FadingParams
 from .sim import SimEstimate
 
 __all__ = [
     "FadingParams",
-    "MetricPoint",
     "SimEstimate",
     "SystemConfig",
 ]

@@ -3,10 +3,10 @@
 Computes the effective harvesting range, the two-branch transmission
 probability, outage and throughput, with ideal or lossy (rho, P_c) hardware.
 ``sweep_columns`` is the engine, one array pass over a tau grid that
-returns one array per output column; ``sweep`` is its row view (one
-``MetricPoint`` per tau), ``evaluate``, ``phi1``, ``phi2`` and
-``effective_range`` are one-tau views, and the quadrature oracles take only
-its branch limits.
+returns one array per output column; ``evaluate`` is its one-tau row, a
+dict keyed by those columns, ``effective_range`` and the three paper
+metrics are one-tau views, and the quadrature oracles take only its branch
+limits.
 """
 
 from __future__ import annotations
@@ -132,19 +132,6 @@ class SystemConfig:
         return dataclasses.replace(self, tau=tau)
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    """Analytic outputs at one parameter setting."""
-
-    d_star: float
-    phi1: float
-    phi2: float
-    p_tr: float
-    f_snr: float
-    p_out: float
-    throughput: float
-
-
 def _log2_snr(cfg: SystemConfig, d_pbst: float | None = None) -> float:
     """log2 of a link's SNR per unit of its gain, summed from the logs of the factors.
 
@@ -194,9 +181,16 @@ def _checked_taus(cfg: SystemConfig, taus) -> np.ndarray:
 
 def _d_star(cfg: SystemConfig, taus: np.ndarray) -> np.ndarray:
     """Effective range at each tau; inf where it lies beyond every distance."""
+    log_moment = fading.log_moment(cfg.fading_pb_st)
     with np.errstate(over="ignore"):
         base = cfg.eta * cfg.p_beacon * (1.0 - taus) / (taus * cfg.p_st_eff)
-        return (base * math.exp(fading.log_moment(cfg.fading_pb_st))) ** (1.0 / cfg.alpha_pb_st)
+        d_star = (base * math.exp(log_moment)) ** (1.0 / cfg.alpha_pb_st)
+        # a tiny tau overflows the ratio, not the range: sum the log of each factor
+        big = np.isinf(base)
+        log_base = (math.log(cfg.eta) + math.log(cfg.p_beacon) + np.log(1.0 - taus[big])
+                    - np.log(taus[big]) - math.log(cfg.p_st_eff))
+        d_star[big] = np.exp((log_base + log_moment) / cfg.alpha_pb_st)
+    return d_star
 
 
 def effective_range(cfg: SystemConfig) -> float:
@@ -266,16 +260,6 @@ def _phi_closed_form(cfg: SystemConfig, threshold_coeff, lo, hi) -> np.ndarray:
     return out
 
 
-def phi1(cfg: SystemConfig) -> float:
-    """Probability of transmitting from inside the effective range."""
-    return evaluate(cfg).phi1
-
-
-def phi2(cfg: SystemConfig) -> float:
-    """Probability of transmitting from beyond the effective range."""
-    return evaluate(cfg).phi2
-
-
 def _point_mass(cfg: SystemConfig, branches, d_star: np.ndarray):
     """phi1 and phi2 where d_min = d_max = d: the closed form's limit as the annulus closes on d.
 
@@ -342,39 +326,29 @@ def j_correction(cfg: SystemConfig, l: int, d: float) -> float:
 
 def transmission_probability(cfg: SystemConfig) -> float:
     """Two-branch closed-form transmission probability, clamped to [0, 1]."""
-    return evaluate(cfg).p_tr
+    return evaluate(cfg)["p_tr"]
 
 
 def outage_probability(cfg: SystemConfig) -> float:
     """Outage: silent slot, or transmission below the SNR threshold."""
-    return evaluate(cfg).p_out
+    return evaluate(cfg)["p_out"]
 
 
 def average_throughput(cfg: SystemConfig) -> float:
     """Effective throughput in bps/Hz; bounded above by tau * rate."""
-    return evaluate(cfg).throughput
+    return evaluate(cfg)["throughput"]
 
 
-def evaluate(cfg: SystemConfig) -> MetricPoint:
-    """All analytic metrics at the configured switching time."""
-    return sweep(cfg, [cfg.tau])[0]
-
-
-def sweep(cfg: SystemConfig, tau_grid) -> list[MetricPoint]:
-    """One MetricPoint per switching-time value: the row view of `sweep_columns`.
-
-    Raises ValueError as `sweep_columns` does.
-    """
-    columns = sweep_columns(cfg, tau_grid)
-    fields = [columns[f.name].tolist() for f in dataclasses.fields(MetricPoint)]
-    return [MetricPoint(*row) for row in zip(*fields)]
+def evaluate(cfg: SystemConfig) -> dict[str, float]:
+    """All analytic metrics at the configured switching time: the one row of `sweep_columns`."""
+    return {name: float(column[0]) for name, column in sweep_columns(cfg, [cfg.tau]).items()}
 
 
 def sweep_columns(cfg: SystemConfig, tau_grid) -> dict[str, np.ndarray]:
     """The closed forms over a tau grid, in one array pass: the engine.
 
     Returns one float array per column, one entry per tau, in CSV order:
-    ``tau`` and then the fields of `MetricPoint`. Raises ValueError, naming
+    ``tau`` and then the seven paper outputs. Raises ValueError, naming
     the first such tau, when the closed form is not finite at a tau of the
     grid.
     """

@@ -112,11 +112,12 @@ def _ks_test(cdf_values):
 
 def phi_closed_vs_quadrature(cfg):
     problems = []
-    for tau in _TAUS:
+    columns = analysis.sweep_columns(cfg, _TAUS)
+    for tau, phi1, phi2 in zip(_TAUS, columns["phi1"], columns["phi2"]):
         c = cfg.with_tau(tau)
         for label, closed, oracle in (
-            ("phi1", analysis.phi1(c), analysis.phi1_quadrature(c)),
-            ("phi2", analysis.phi2(c), analysis.phi2_quadrature(c)),
+            ("phi1", phi1, analysis.phi1_quadrature(c)),
+            ("phi2", phi2, analysis.phi2_quadrature(c)),
         ):
             tol = 1e-7 * max(abs(oracle), 1e-300)
             if abs(closed - oracle) > tol:
@@ -239,14 +240,14 @@ def sim_model_agreement(cfg):
     estimates = sim._sweep_modes(cfg, [cfg.tau], 500, 500, 11, sim.MODES)
     [renewal], [buffered] = estimates["slot-renewal"], estimates["buffer"]
     tol = max(2.0 * renewal.ci99_p_out, 0.02)
-    if abs(renewal.p_out_hat - point.p_out) > tol:
+    if abs(renewal.p_out_hat - point["p_out"]) > tol:
         problems.append(
-            f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point.p_out:.4f}"
+            f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point['p_out']:.4f}"
         )
-    gap = buffered.p_tr_hat - point.p_tr
+    gap = buffered.p_tr_hat - point["p_tr"]
     problems.append(
         f"INFO buffer-mode accumulation surplus: p_tr {buffered.p_tr_hat:.4f}"
-        f" vs closed form {point.p_tr:.4f} (gap {gap:+.4f})"
+        f" vs closed form {point['p_tr']:.4f} (gap {gap:+.4f})"
     )
     return problems
 

@@ -128,7 +128,7 @@ def test_criterion_5_outage_trends():
     failures = []
     sweeps = {}
     for antennas, ideal, base in four_setups():
-        sweeps[(antennas, ideal)] = [p.p_out for p in analysis.sweep(base, TAU_GRID)]
+        sweeps[(antennas, ideal)] = analysis.sweep_columns(base, TAU_GRID)["p_out"]
     for key, curve in sweeps.items():
         if not all(a < b for a, b in zip(curve, curve[1:])):
             failures.append(f"p_out not strictly increasing for {key}")
@@ -149,10 +149,7 @@ def test_criterion_5_outage_trends():
 def test_criterion_6_throughput_trends():
     failures = []
     for rate in (1.0, 2.0, 3.0):
-        curve = [
-            p.throughput
-            for p in analysis.sweep(default_config(rate=rate), TAU_GRID)
-        ]
+        curve = analysis.sweep_columns(default_config(rate=rate), TAU_GRID)["throughput"]
         if not all(a < b for a, b in zip(curve, curve[1:])):
             failures.append(f"throughput not increasing for rate={rate}")
     ok = verdict("6 throughput trend reproduction", not failures)

@@ -172,6 +172,22 @@ class TestEffectiveRange:
         lossy = analysis.effective_range(default_config(ideal=False))
         assert lossy < ideal
 
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_finite_where_the_power_ratio_overflows(self, ideal):
+        # from about tau = 1e-308, eta * P_b * (1 - tau) / (tau * p_st_eff) passes
+        # every float, and the range once read inf
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.prec = 80
+        for tau in (1e-308, 1e-309, 1e-315):
+            cfg = default_config(tau=tau, ideal=ideal)
+            ratio = mp.mpf(cfg.eta) * cfg.p_beacon * (1 - mp.mpf(tau)) / (mp.mpf(tau) * cfg.p_st_eff)
+            moment = mp.exp(fading.log_moment(cfg.fading_pb_st))
+            expected = float((ratio * moment) ** (1 / mp.mpf(cfg.alpha_pb_st)))
+            assert analysis.effective_range(cfg) == pytest.approx(expected, rel=1e-12)
+            assert analysis.sweep_columns(cfg, [tau])["d_star"][0] == pytest.approx(expected, rel=1e-12)
+
 
 class TestSnrOutageCdf:
     def test_vanishing_threshold(self):
@@ -204,27 +220,27 @@ class TestPhi:
         # large tau and weak beacon push the effective range under d_min
         cfg = default_config(tau=0.95, p_beacon=0.2)
         assert analysis.effective_range(cfg) < cfg.d_min
-        assert analysis.phi1(cfg) == 0.0
-        assert analysis.transmission_probability(cfg) == analysis.phi2(cfg)
+        point = analysis.evaluate(cfg)
+        assert point["phi1"] == 0.0
+        assert point["p_tr"] == point["phi2"]
 
     def test_phi2_zero_when_range_beyond_dmax(self):
         cfg = default_config(tau=0.05, p_st=1e-4)
         assert analysis.effective_range(cfg) > cfg.d_max
-        assert analysis.phi2(cfg) == 0.0
-        assert analysis.transmission_probability(cfg) == pytest.approx(analysis.phi1(cfg))
+        point = analysis.evaluate(cfg)
+        assert point["phi2"] == 0.0
+        assert point["p_tr"] == pytest.approx(point["phi1"])
 
     @pytest.mark.parametrize("ideal", [True, False])
     @pytest.mark.parametrize("antennas", [1, 16])
     def test_closed_form_matches_quadrature(self, ideal, antennas):
         base = default_config(ideal=ideal, fading_pb_st=FadingParams(7.0, antennas, 20))
-        for tau in (0.1, 0.5, 0.9):
+        taus = (0.1, 0.5, 0.9)
+        columns = analysis.sweep_columns(base, taus)
+        for tau, phi1, phi2 in zip(taus, columns["phi1"], columns["phi2"]):
             cfg = base.with_tau(tau)
-            assert analysis.phi1(cfg) == pytest.approx(
-                analysis.phi1_quadrature(cfg), rel=1e-7
-            )
-            assert analysis.phi2(cfg) == pytest.approx(
-                analysis.phi2_quadrature(cfg), rel=1e-7
-            )
+            assert phi1 == pytest.approx(analysis.phi1_quadrature(cfg), rel=1e-7)
+            assert phi2 == pytest.approx(analysis.phi2_quadrature(cfg), rel=1e-7)
 
     @pytest.mark.parametrize("antennas", [1, 16])
     def test_quadrature_finds_narrow_support_of_steep_path_loss(self, antennas):
@@ -232,23 +248,23 @@ class TestPhi:
         # integrand is nonzero only below about 1.04; on the whole branch the
         # adaptive rule sampled none of that support and returned 0
         base = default_config(alpha_pb_st=260.0, fading_pb_st=FadingParams(7.0, antennas, 20))
-        for tau in (0.1, 0.5, 0.9):
-            cfg = base.with_tau(tau)
-            assert analysis.phi2(cfg) > 0.0
-            assert analysis.phi2_quadrature(cfg) == pytest.approx(analysis.phi2(cfg), rel=1e-7)
+        taus = (0.1, 0.5, 0.9)
+        for tau, phi2 in zip(taus, analysis.sweep_columns(base, taus)["phi2"]):
+            assert phi2 > 0.0
+            assert analysis.phi2_quadrature(base.with_tau(tau)) == pytest.approx(phi2, rel=1e-7)
 
     def test_tau_near_one_leaves_only_full_slot_branch(self):
         # the effective range collapses below d_min, so only the full-slot
         # harvesting branch can refill the buffer
         cfg = default_config(tau=0.999)
         assert analysis.effective_range(cfg) < cfg.d_min
-        assert analysis.phi1(cfg) == 0.0
-        assert 0.0 < analysis.phi2(cfg) < analysis.phi2(default_config(tau=0.5))
+        columns = analysis.sweep_columns(cfg, [0.999, 0.5])
+        assert columns["phi1"][0] == 0.0
+        assert 0.0 < columns["phi2"][0] < columns["phi2"][1]
 
     def test_sum_is_probability_across_grid(self):
-        for tau in np.arange(0.1, 0.95, 0.1):
-            cfg = default_config(tau=float(tau))
-            total = analysis.phi1(cfg) + analysis.phi2(cfg)
+        columns = analysis.sweep_columns(default_config(), np.arange(0.1, 0.95, 0.1))
+        for total in columns["phi1"] + columns["phi2"]:
             assert 0.0 <= total <= 1.0
 
 
@@ -291,13 +307,15 @@ class TestPointMass:
         d = analysis.effective_range(default_config(tau=tau))
         cfg = default_config(d_min=d, d_max=d, tau=tau)
         assert analysis.effective_range(cfg) == d
-        assert analysis.phi1(cfg) > 0.0 and analysis.phi2(cfg) == 0.0
+        point = analysis.evaluate(cfg)
+        assert point["phi1"] > 0.0 and point["phi2"] == 0.0
 
     def test_quadrature_oracle_agrees(self):
         for tau in (0.1, 0.5, 0.9):
             cfg = default_config(d_min=self.D, d_max=self.D, tau=tau)
-            assert analysis.phi1_quadrature(cfg) == analysis.phi1(cfg)
-            assert analysis.phi2_quadrature(cfg) == analysis.phi2(cfg)
+            point = analysis.evaluate(cfg)
+            assert analysis.phi1_quadrature(cfg) == point["phi1"]
+            assert analysis.phi2_quadrature(cfg) == point["phi2"]
 
 
 class TestJCorrection:
@@ -351,25 +369,21 @@ class TestCompositeMetrics:
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_sweep_matches_direct_evaluation(self):
-        cfg = default_config()
-        [point] = analysis.sweep(cfg, [0.5])
-        assert point == analysis.evaluate(cfg)
-
     def test_sweep_outage_trends(self):
         grid = [i / 10 for i in range(1, 10)]
-        ideal = [p.p_out for p in analysis.sweep(default_config(ideal=True), grid)]
-        lossy = [p.p_out for p in analysis.sweep(default_config(ideal=False), grid)]
+        ideal = analysis.sweep_columns(default_config(ideal=True), grid)["p_out"]
+        lossy = analysis.sweep_columns(default_config(ideal=False), grid)["p_out"]
         assert all(a < b for a, b in zip(ideal, ideal[1:]))
         assert all(l >= i for l, i in zip(lossy, ideal))
 
     def test_metric_point_invariants(self):
-        for point in analysis.sweep(default_config(), [0.2, 0.5, 0.8]):
-            assert point.p_tr == pytest.approx(
-                min(1.0, max(0.0, point.phi1 + point.phi2)), abs=1e-15
-            )
-            assert point.p_out >= 1 - point.p_tr - 1e-15
-            assert point.throughput <= 0.8 * 1.0 + 1e-12
+        columns = analysis.sweep_columns(default_config(), [0.2, 0.5, 0.8])
+        for phi1, phi2, p_tr, p_out, throughput in zip(
+            *(columns[name] for name in ("phi1", "phi2", "p_tr", "p_out", "throughput"))
+        ):
+            assert p_tr == pytest.approx(min(1.0, max(0.0, phi1 + phi2)), abs=1e-15)
+            assert p_out >= 1 - p_tr - 1e-15
+            assert throughput <= 0.8 * 1.0 + 1e-12
 
 
 SETUPS = [(antennas, ideal) for antennas in (1, 16) for ideal in (True, False)]
@@ -391,35 +405,39 @@ class TestSweepEngine:
     def test_rows_are_one_tau_evaluations(self, setup, taus):
         antennas, ideal = setup
         cfg = default_config(ideal=ideal, fading_pb_st=FadingParams(7.0, antennas, 20))
-        points = analysis.sweep(cfg, taus)
-        d_star = [point.d_star for point in points]
-        assert min(d_star) < cfg.d_min and max(d_star) > cfg.d_max
-        for tau, point in zip(taus, points):
+        columns = analysis.sweep_columns(cfg, taus)
+        assert min(columns["d_star"]) < cfg.d_min and max(columns["d_star"]) > cfg.d_max
+        for i, tau in enumerate(taus):
             one = cfg.with_tau(tau)
-            assert point == analysis.evaluate(one)
+            point = analysis.evaluate(one)
+            # each entry is the one-tau row's value bit for bit: hex tells -0.0 from 0.0
+            assert list(point) == list(columns)
+            assert [float(column[i]).hex() for column in columns.values()] == [
+                value.hex() for value in point.values()
+            ]
             for closed, oracle in (
-                (point.phi1, analysis.phi1_quadrature(one)),
-                (point.phi2, analysis.phi2_quadrature(one)),
+                (point["phi1"], analysis.phi1_quadrature(one)),
+                (point["phi2"], analysis.phi2_quadrature(one)),
             ):
                 assert abs(closed - oracle) <= 1e-7 * max(abs(oracle), 1e-12)
-            values = (point.phi1, point.phi2, point.p_tr, point.p_out, point.throughput)
+            values = [point[name] for name in ("phi1", "phi2", "p_tr", "p_out", "throughput")]
             assert all(math.isfinite(v) for v in values)
             # the two branches split the annulus, so their sum is a probability
-            assert 0.0 <= point.phi1 + point.phi2 <= 1.0 + 1e-12
+            assert 0.0 <= point["phi1"] + point["phi2"] <= 1.0 + 1e-12
 
     def test_names_first_tau_with_nonfinite_closed_form(self):
         # at a 3000 dBm beacon the threshold coefficient of these taus
         # underflows to 0, and the closed form to NaN
         cfg = default_config(p_beacon=1e297)
         with pytest.raises(ValueError, match=r"tau = 1e-300$"):
-            analysis.sweep(cfg, [0.5, 1e-300, 1e-301])
+            analysis.sweep_columns(cfg, [0.5, 1e-300, 1e-301])
 
     def test_names_first_tau_with_infinite_branch(self):
         # at alpha = 1 the inside branch overflows to inf at this tau; the clip to
         # [0, 1] made p_tr 1.0, and the row was written with phi1 = inf
         cfg = default_config(alpha_pb_st=1.0)
         with pytest.raises(ValueError, match=r"tau = 1e-154$"):
-            analysis.sweep(cfg, [0.5, 1e-154])
+            analysis.sweep_columns(cfg, [0.5, 1e-154])
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, math.nan, 5e-324])
     @pytest.mark.parametrize("position", [0, 2, 4])
@@ -430,7 +448,7 @@ class TestSweepEngine:
         with pytest.raises(ValueError) as from_config:
             cfg.with_tau(bad)
         with pytest.raises(ValueError, match=re.escape(str(from_config.value))):
-            analysis.sweep(cfg, taus)
+            analysis.sweep_columns(cfg, taus)
 
 
 def _phi_four_arrays(cfg, threshold_coeff, lo, hi):

@@ -100,8 +100,10 @@ class TestAnalyze:
         report = cmd_analyze(cfg, [0.5])
         assert len(report.rows) == 1
         point = analysis.evaluate(cfg)
-        assert report.rows[0]["p_out"] == point.p_out
-        assert report.rows[0]["tau"] == 0.5
+        # the same keys, in the CSV header's order, with equal floats
+        assert list(point) == list(report.rows[0]) == report.to_csv().splitlines()[0].split(",")
+        assert point == report.rows[0]
+        assert point["tau"] == 0.5
 
     def test_csv_header(self):
         report = cmd_analyze(analysis.SystemConfig(), [0.3, 0.6])
@@ -240,7 +242,14 @@ class TestValidate:
     def test_closed_form_gap_is_relative_at_any_magnitude(self, monkeypatch):
         # a gap of 1e-20 on values near 1e-15 is 1e-5 relative; a floor of
         # 1e-12 under the oracle's magnitude once let it pass
-        monkeypatch.setattr(analysis, "phi1", lambda cfg: 1e-15)
+        sweep_columns = analysis.sweep_columns
+
+        def faked(cfg, taus):
+            columns = sweep_columns(cfg, taus)
+            columns["phi1"] = np.full_like(columns["phi1"], 1e-15)
+            return columns
+
+        monkeypatch.setattr(analysis, "sweep_columns", faked)
         monkeypatch.setattr(analysis, "phi1_quadrature", lambda cfg: 1e-15 + 1e-20)
         notes = validate.phi_closed_vs_quadrature(analysis.SystemConfig())
         assert [note.split(":")[0] for note in notes] == [f"phi1 at tau={i / 10:.1f}" for i in range(1, 10)]
@@ -559,9 +568,16 @@ class TestMain:
         for column in ("phi1", "phi2", "p_tr", "p_out", "throughput"):
             assert math.isfinite(row[column])
 
-    def test_infinite_value_is_usage_error_in_json(self, capsys):
-        # d_star overflows to inf at this tau; JSON has no inf, so nothing is written
-        assert cli.main(["analyze", "--tau-grid", "1e-310:1e-310:1", "--format", "json"]) == 2
+    def test_infinite_value_is_usage_error_in_json(self, tmp_path, capsys):
+        # at alpha = 0.25 the effective range, about 4e404 m at this tau, passes every
+        # float, while the point mass at d = 5 stays finite; JSON has no inf, so
+        # nothing is written
+        path = tmp_path / "far.cfg"
+        path.write_text("alpha = 0.25\nd_min = 5\nd_max = 5\n")
+        argv = ["analyze", "--config", str(path), "--tau-grid", "1e-100:1e-100:1"]
+        assert cli.main(argv) == 0
+        assert ",inf," in capsys.readouterr().out
+        assert cli.main([*argv, "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write JSON")

@@ -321,7 +321,7 @@ class TestRun:
         cfg = default_config()
         point = analysis.evaluate(cfg)
         est = sim.run(cfg, 800, 500, seed=13, mode="slot-renewal")
-        assert abs(est.p_out_hat - point.p_out) <= max(2 * est.ci99_p_out, 0.02)
+        assert abs(est.p_out_hat - point["p_out"]) <= max(2 * est.ci99_p_out, 0.02)
 
     def test_buffer_mode_accumulation_surplus(self):
         # multi-slot accumulation, absent from the closed form, adds
@@ -329,7 +329,7 @@ class TestRun:
         cfg = default_config()
         point = analysis.evaluate(cfg)
         est = sim.run(cfg, 800, 500, seed=13)
-        assert est.p_tr_hat > point.p_tr + 2 * est.ci99_p_tr
+        assert est.p_tr_hat > point["p_tr"] + 2 * est.ci99_p_tr
 
     def test_estimates_are_probabilities(self):
         est = sim.run(default_config(), 50, 120, seed=21)
@@ -417,15 +417,15 @@ class TestSweepModes:
         point = analysis.evaluate(cfg)
         renewal = sim.run(cfg, 500, 500, seed=11, mode="slot-renewal")
         tol = max(2.0 * renewal.ci99_p_out, 0.02)
-        if abs(renewal.p_out_hat - point.p_out) > tol:
+        if abs(renewal.p_out_hat - point["p_out"]) > tol:
             expected.append(
-                f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point.p_out:.4f}"
+                f"slot-renewal p_out {renewal.p_out_hat:.4f} vs analytic {point['p_out']:.4f}"
             )
         buffered = sim.run(cfg, 500, 500, seed=11, mode="buffer")
-        gap = buffered.p_tr_hat - point.p_tr
+        gap = buffered.p_tr_hat - point["p_tr"]
         expected.append(
             f"INFO buffer-mode accumulation surplus: p_tr {buffered.p_tr_hat:.4f}"
-            f" vs closed form {point.p_tr:.4f} (gap {gap:+.4f})"
+            f" vs closed form {point['p_tr']:.4f} (gap {gap:+.4f})"
         )
         assert validate.sim_model_agreement(cfg) == expected
 
