@@ -7,7 +7,8 @@ HEAD) extracted with ``git archive`` into ``.bench_build/<commit>``; the
 change is this checkout's working tree. Each of N fresh processes (default
 5, run one after another) imports the change's package as ``ehcr`` and the
 base's as ``ehcr_base``, and runs every case of ``bench/test_*.py`` whose
-name contains TEXT. A case is a test function that pytest-benchmark runs as
+name contains TEXT; a TEXT that no case name contains exits 2 before any
+process starts. A case is a test function that pytest-benchmark runs as
 it is; here it is called once per side with the package as its ``ehcr``
 fixture and a stand-in ``benchmark`` that keeps the job it is given (and
 runs it once, so the case's checks still hold). The two jobs then run
@@ -175,6 +176,10 @@ def main(argv):
     args = parser.parse_args(argv)
     if args.processes < 1 or args.rounds < 1:
         parser.error("--processes and --rounds must be at least 1")
+    # one collection here, before the base is extracted or a timed process started
+    if not args.child and next(cases(args.pattern), None) is None:
+        print(f"error: no bench case name contains {args.pattern!r}", file=sys.stderr)
+        return 2
     base = pathlib.Path(args.base)
     base = base.resolve() if (base / "src" / "ehcr").is_dir() else extract(args.base)
     if args.child:

@@ -1,9 +1,11 @@
 """Command-line front end: config ingestion, sweeps and simulation. A command's
 text is written once it is whole, so a failed command writes only ``error:``.
 
-Config files are flat ``key = value`` lines with ``#`` comments. Powers are
-given in dBm (key suffix ``_dbm``), distances in meters, the frame duration
+Config files are flat UTF-8 ``key = value`` lines with ``#`` comments. Powers
+are given in dBm (key suffix ``_dbm``), distances in meters, the frame duration
 in seconds and the rate in bps/Hz; all internal computation is in SI units.
+``_FIELDS`` names each key's `SystemConfig` field, and ``_ECHO_NAMES`` the JSON
+``config`` name of each field that differs from it; the echo holds every field.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from . import analysis, numerics, sim, validate
 from .analysis import SystemConfig
 from .fading import FadingParams
 
-SIM_COLUMNS = ("p_tr_mc", "p_out_mc", "thr_mc", "ci99_ptr", "ci99_pout")
-# the `sim.SimEstimate` field behind each of SIM_COLUMNS
-_ESTIMATE_FIELDS = ("p_tr_hat", "p_out_hat", "throughput_hat", "ci99_p_tr", "ci99_p_out")
+# the `sim.SimEstimate` field behind each Monte Carlo column of `ehcr simulate`
+SIM_COLUMNS = {"p_tr_mc": "p_tr_hat", "p_out_mc": "p_out_hat", "thr_mc": "throughput_hat",
+               "ci99_ptr": "ci99_p_tr", "ci99_pout": "ci99_p_out"}
 
 CONFIG_DEFAULTS = {
     "P_b_dbm": 33.0,
@@ -48,6 +50,21 @@ CONFIG_DEFAULTS = {
     "K_s": None,  # ST-SR link overrides; default to K and m
     "m_s": None,
     "ideal": True,
+}
+
+# the `SystemConfig` field each key but the links' K, L, m, K_s and m_s sets;
+# a `_dbm` key's value is converted to watts
+_FIELDS = {
+    "P_b_dbm": "p_beacon", "M_dbm": "p_st", "eta": "eta", "tau": "tau", "T": "t_frame",
+    "N0_dbm": "noise_power", "R": "rate", "alpha": "alpha_pb_st", "alpha_s": "alpha_st_sr",
+    "d_min": "d_min", "d_max": "d_max", "d_stsr": "d_st_sr", "rho": "rho",
+    "P_c_dbm": "p_circuit", "ideal": "ideal",
+}
+# the JSON `config` name of each field whose own name lacks its unit, and of each link
+_ECHO_NAMES = {
+    "p_beacon": "p_beacon_w", "p_st": "p_st_w", "t_frame": "t_frame_s", "noise_power": "noise_w",
+    "rate": "rate_bps_hz", "d_min": "d_min_m", "d_max": "d_max_m", "d_st_sr": "d_st_sr_m",
+    "p_circuit": "p_circuit_w", "fading_pb_st": "pb_st_link", "fading_st_sr": "st_sr_link",
 }
 
 _INT_KEYS = {"L", "m", "m_s"}
@@ -160,40 +177,21 @@ def _keyed(values: dict, make, *keys):
 def build_config(values: dict) -> SystemConfig:
     k_s = "K_s" if values["K_s"] is not None else "K"
     m_s = "m_s" if values["m_s"] is not None else "m"
-    link_pb_st = _keyed(values, FadingParams, "K", "L", "m")
-    link_st_sr = _keyed(values, FadingParams, k_s, None, m_s)
-    watts = {key: _keyed(values, numerics.dbm_to_watts, key)
-             for key in ("P_b_dbm", "M_dbm", "N0_dbm", "P_c_dbm")}
+    links = {"fading_pb_st": _keyed(values, FadingParams, "K", "L", "m"),
+             "fading_st_sr": _keyed(values, FadingParams, k_s, None, m_s)}
+    fields = {field: _keyed(values, numerics.dbm_to_watts, key) if key.endswith("_dbm")
+              else values[key] for key, field in _FIELDS.items()}
     try:
-        cfg = SystemConfig(
-            p_beacon=watts["P_b_dbm"],
-            p_st=watts["M_dbm"],
-            eta=values["eta"],
-            tau=values["tau"],
-            t_frame=values["T"],
-            noise_power=watts["N0_dbm"],
-            rate=values["R"],
-            alpha_pb_st=values["alpha"],
-            alpha_st_sr=values["alpha_s"],
-            d_min=values["d_min"],
-            d_max=values["d_max"],
-            d_st_sr=values["d_stsr"],
-            rho=values["rho"],
-            p_circuit=watts["P_c_dbm"],
-            ideal=values["ideal"],
-            fading_pb_st=link_pb_st,
-            fading_st_sr=link_st_sr,
-        )
+        return SystemConfig(**fields, **links)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return cfg
 
 
 def _read_config_values(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -204,33 +202,15 @@ def load_config(path: str) -> SystemConfig:
 
 
 def config_echo(cfg: SystemConfig) -> dict:
-    echo = {
-        "p_beacon_w": cfg.p_beacon,
-        "p_st_w": cfg.p_st,
-        "eta": cfg.eta,
-        "t_frame_s": cfg.t_frame,
-        "noise_w": cfg.noise_power,
-        "rate_bps_hz": cfg.rate,
-        "alpha_pb_st": cfg.alpha_pb_st,
-        "alpha_st_sr": cfg.alpha_st_sr,
-        "d_min_m": cfg.d_min,
-        "d_max_m": cfg.d_max,
-        "d_st_sr_m": cfg.d_st_sr,
-        "rho": cfg.rho,
-        "p_circuit_w": cfg.p_circuit,
-        "ideal": cfg.ideal,
-        "pb_st_link": {
-            "rician_k": cfg.fading_pb_st.rician_k,
-            "mu": cfg.fading_pb_st.mu,
-            "m": cfg.fading_pb_st.m,
-        },
-        "st_sr_link": {
-            "rician_k": cfg.fading_st_sr.rician_k,
-            "mu": cfg.fading_st_sr.mu,
-            "m": cfg.fading_st_sr.m,
-        },
-    }
-    return echo
+    """Each field of ``cfg`` but ``tau``, which every row carries, under its JSON
+    name; a link is echoed as the arguments it was made from."""
+    def echoed(value):
+        if isinstance(value, FadingParams):
+            return {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+        return value
+
+    return {_ECHO_NAMES.get(f.name, f.name): echoed(getattr(cfg, f.name))
+            for f in dataclasses.fields(cfg) if f.name != "tau"}
 
 
 def parse_tau_grid(spec: str) -> list:
@@ -277,7 +257,7 @@ def cmd_simulate(
     report = cmd_analyze(cfg, tau_grid)
     started = time.perf_counter()
     estimates = sim.run_sweep(cfg, tau_grid, n_placements, n_slots, seed)
-    for name, field in zip(SIM_COLUMNS, _ESTIMATE_FIELDS):
+    for name, field in SIM_COLUMNS.items():
         report.columns[name] = np.array([getattr(e, field) for e in estimates], dtype=float)
     report.duration_s += time.perf_counter() - started
     return report

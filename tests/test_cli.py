@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -76,6 +77,63 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        # a byte that is not UTF-8 once ended in a UnicodeDecodeError traceback
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"eta = 0.5\xff\n")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(str(path))
+        for command in ("analyze", "simulate", "validate", "range"):
+            assert cli.main([command, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"error: cannot read config file {path}: 'utf-8' codec")
+
+
+class TestConfigTables:
+    def test_echo_of_defaults(self):
+        # every field but tau, in field order; JSON text tells 1 from 1.0 and True
+        echo = {
+            "p_beacon_w": 1.9952623149688795, "p_st_w": 0.1, "eta": 0.85, "t_frame_s": 1.0,
+            "noise_w": 7.943282347242822e-14, "rate_bps_hz": 1.0, "alpha_pb_st": 2.4,
+            "alpha_st_sr": 3.0, "d_min_m": 1.0, "d_max_m": 15.0, "d_st_sr_m": 30.0, "rho": 1.2,
+            "p_circuit_w": 1e-06, "ideal": True,
+            "pb_st_link": {"rician_k": 7.0, "mu": 1, "m": 20},
+            "st_sr_link": {"rician_k": 7.0, "mu": 1, "m": 20},
+        }
+        for cfg in (analysis.SystemConfig(), build_config(cli.CONFIG_DEFAULTS)):
+            assert json.dumps(cli.config_echo(cfg)) == json.dumps(echo)
+
+    def test_keys_and_links_make_every_field(self):
+        made = [*cli._FIELDS.values(), "fading_pb_st", "fading_st_sr"]
+        assert sorted(made) == sorted(f.name for f in dataclasses.fields(analysis.SystemConfig))
+        assert set(cli._FIELDS) < set(cli.CONFIG_DEFAULTS)
+
+    # each key with a value other than its default, and the field it must set
+    @pytest.mark.parametrize("key, value, field, expected", [
+        ("P_b_dbm", 30.0, "p_beacon", 1.0),
+        ("M_dbm", 10.0, "p_st", 0.01),
+        ("eta", 0.7, "eta", 0.7),
+        ("tau", 0.3, "tau", 0.3),
+        ("T", 2.0, "t_frame", 2.0),
+        ("N0_dbm", -90.0, "noise_power", 1e-12),
+        ("R", 1.5, "rate", 1.5),
+        ("alpha", 2.7, "alpha_pb_st", 2.7),
+        ("alpha_s", 3.2, "alpha_st_sr", 3.2),
+        ("d_min", 2.0, "d_min", 2.0),
+        ("d_max", 12.0, "d_max", 12.0),
+        ("d_stsr", 25.0, "d_st_sr", 25.0),
+        ("rho", 1.3, "rho", 1.3),
+        ("P_c_dbm", -20.0, "p_circuit", 1e-05),
+        ("ideal", False, "ideal", False),
+    ])
+    def test_key_sets_its_own_field(self, key, value, field, expected):
+        cfg = build_config({**cli.CONFIG_DEFAULTS, key: value})
+        assert getattr(cfg, field) == pytest.approx(expected, rel=1e-15)
+        # and no other field
+        assert cfg == dataclasses.replace(analysis.SystemConfig(), **{field: getattr(cfg, field)})
 
 
 class TestTauGrid:
