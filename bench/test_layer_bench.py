@@ -13,6 +13,8 @@ Sizes:
 - ``analysis.evaluate``: one point at the default configuration;
 - ``analysis.sweep_columns``: 19 taus, 0.05 to 0.95, and the 999 taus of
   perfbench's analytic-grid workload at seed 1;
+- ``cli.build_config`` of the config keys at L = 16, non-ideal, the rest
+  left to the library's defaults;
 - ``ehcr analyze`` through ``cli.main`` on those 999 taus, CSV to stdout;
 - ``RunReport.to_csv`` of the 999-row ``ehcr analyze`` report on that grid;
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
@@ -105,6 +107,13 @@ def test_sweep_analytic_grid(benchmark, ehcr):
     taus = ehcr.cli.parse_tau_grid(ANALYTIC_GRID)
     columns = benchmark(ehcr.analysis.sweep_columns, ehcr.analysis.SystemConfig(), taus)
     assert len(columns["p_out"]) == 999
+
+
+def test_build_config(benchmark, ehcr):
+    values = {**ehcr.cli.CONFIG_DEFAULTS, "L": 16, "ideal": False}
+    cfg = benchmark(ehcr.cli.build_config, values)
+    assert cfg == ehcr.analysis.SystemConfig(
+        ideal=False, fading_pb_st=ehcr.fading.FadingParams(7.0, 16, 20))
 
 
 def test_cli_analyze_end_to_end(benchmark, ehcr, capsys):

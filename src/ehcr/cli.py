@@ -3,9 +3,9 @@ text is written once it is whole, so a failed command writes only ``error:``.
 
 Config files are flat UTF-8 ``key = value`` lines with ``#`` comments. Powers
 are given in dBm (key suffix ``_dbm``), distances in meters, the frame duration
-in seconds and the rate in bps/Hz; all internal computation is in SI units.
-``_FIELDS`` names each key's `SystemConfig` field, and ``_ECHO_NAMES`` the JSON
-``config`` name of each field that differs from it; the echo holds every field.
+in seconds and the rate in bps/Hz; all internal computation is in SI units. A
+key left unset takes `SystemConfig`'s default. ``_FIELDS`` names each key's
+field, and ``_ECHO_NAMES`` each field's JSON ``config`` name where it differs.
 """
 
 from __future__ import annotations
@@ -29,28 +29,11 @@ from .fading import FadingParams
 SIM_COLUMNS = {"p_tr_mc": "p_tr_hat", "p_out_mc": "p_out_hat", "thr_mc": "throughput_hat",
                "ci99_ptr": "ci99_p_tr", "ci99_pout": "ci99_p_out"}
 
-CONFIG_DEFAULTS = {
-    "P_b_dbm": 33.0,
-    "M_dbm": 20.0,
-    "N0_dbm": -101.0,
-    "P_c_dbm": -30.0,
-    "eta": 0.85,
-    "tau": 0.5,
-    "T": 1.0,
-    "R": 1.0,
-    "alpha": 2.4,
-    "alpha_s": 3.0,
-    "d_min": 1.0,
-    "d_max": 15.0,
-    "d_stsr": 30.0,
-    "rho": 1.2,
-    "L": 1,
-    "K": 7.0,
-    "m": 20,
-    "K_s": None,  # ST-SR link overrides; default to K and m
-    "m_s": None,
-    "ideal": True,
-}
+# every config key; None, or a key left out, takes `SystemConfig`'s default
+CONFIG_DEFAULTS = dict.fromkeys([
+    "P_b_dbm", "M_dbm", "N0_dbm", "P_c_dbm", "eta", "tau", "T", "R", "alpha", "alpha_s",
+    "d_min", "d_max", "d_stsr", "rho", "L", "K", "m", "K_s", "m_s", "ideal",
+])
 
 # the `SystemConfig` field each key but the links' K, L, m, K_s and m_s sets;
 # a `_dbm` key's value is converted to watts
@@ -67,6 +50,10 @@ _ECHO_NAMES = {
     "p_circuit": "p_circuit_w", "fading_pb_st": "pb_st_link", "fading_st_sr": "st_sr_link",
 }
 
+# K, L and m default to `SystemConfig`'s beacon link, K_s and m_s to the
+# effective K and m; the ST-SR link's mu is always `SystemConfig`'s
+_PB_ST, _ST_SR = SystemConfig().fading_pb_st, SystemConfig().fading_st_sr
+_LINK_DEFAULTS = {"K": _PB_ST.rician_k, "L": _PB_ST.mu, "m": _PB_ST.m}
 _INT_KEYS = {"L", "m", "m_s"}
 _BOOL_KEYS = {"ideal"}
 
@@ -166,21 +153,23 @@ def parse_config_text(text: str) -> dict:
 
 
 def _keyed(values: dict, make, *keys):
-    """``make`` of the values of ``keys`` (None gives 1); a ValueError names the keys."""
+    """``make`` of the values of ``keys``; a ValueError names the keys."""
     try:
-        return make(*(1 if key is None else values[key] for key in keys))
+        return make(*(values[key] for key in keys))
     except ValueError as exc:
-        named = ", ".join(f"{key} = {values[key]!r}" for key in keys if key)
+        named = ", ".join(f"{key} = {values[key]!r}" for key in keys)
         raise ConfigError(f"invalid configuration: {exc} ({named})") from exc
 
 
 def build_config(values: dict) -> SystemConfig:
-    k_s = "K_s" if values["K_s"] is not None else "K"
-    m_s = "m_s" if values["m_s"] is not None else "m"
+    """The `SystemConfig` of config ``values``; a key None or missing takes its default."""
+    values = {**_LINK_DEFAULTS, **{key: v for key, v in values.items() if v is not None}}
+    k_s = "K_s" if "K_s" in values else "K"
+    m_s = "m_s" if "m_s" in values else "m"
     links = {"fading_pb_st": _keyed(values, FadingParams, "K", "L", "m"),
-             "fading_st_sr": _keyed(values, FadingParams, k_s, None, m_s)}
+             "fading_st_sr": _keyed(values, lambda k, m: FadingParams(k, _ST_SR.mu, m), k_s, m_s)}
     fields = {field: _keyed(values, numerics.dbm_to_watts, key) if key.endswith("_dbm")
-              else values[key] for key, field in _FIELDS.items()}
+              else values[key] for key, field in _FIELDS.items() if key in values}
     try:
         return SystemConfig(**fields, **links)
     except ValueError as exc:
@@ -197,7 +186,7 @@ def _read_config_values(path: str) -> dict:
 
 
 def load_config(path: str) -> SystemConfig:
-    """Read a key=value file; missing keys take the built-in defaults."""
+    """Read a key=value file; missing keys take `SystemConfig`'s defaults."""
     return build_config(_read_config_values(path))
 
 

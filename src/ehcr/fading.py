@@ -240,6 +240,14 @@ def component_index(p: FadingParams, u):
     return j
 
 
+def component_shapes(p: FadingParams, u, out=None):
+    """The gamma shape, as a float, of each uniform's `component_index`;
+    written into ``out`` if given, which may be ``u`` itself."""
+    # every index names a component, so the clip never binds; it spares
+    # np.take the buffered output of its default bounds check
+    return np.take(p._shapes_float, component_index(p, u), out=out, mode="clip")
+
+
 def sample(p: FadingParams, gen: np.random.Generator, size=None):
     """Draw gains by component choice followed by an integer-shape gamma.
 
@@ -247,8 +255,7 @@ def sample(p: FadingParams, gen: np.random.Generator, size=None):
     ``gen.gamma(shape=shapes[j], scale=omega)`` bit for bit, without the
     checks and broadcasting of the scale argument.
     """
-    j = component_index(p, gen.random(size))
-    draws = gen.standard_gamma(p._shapes_float[j])
+    draws = gen.standard_gamma(component_shapes(p, gen.random(size)))
     draws *= p.omega
     return draws if size is not None else float(draws)
 

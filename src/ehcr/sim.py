@@ -51,7 +51,7 @@ O(placements × chunk). The link stream is read whole, so the generator
 reads its uniforms itself and then skips the rest of them. Both
 streams are read a group of placements at a time, about ``_GROUP_DOUBLES``
 values per group: the group's uniforms go into one buffer, and one call of
-`fading.component_index`, a table lookup that equals ``Generator.choice``'s
+`fading.component_shapes`, whose table lookup equals ``Generator.choice``'s
 search of the weight CDF, maps them to gamma shapes. Each generator then
 draws its ``standard_gamma(shape)``, and one multiplication by ``omega``
 follows, which is numpy's ``gamma(shape, omega)`` bit for bit without its
@@ -207,13 +207,6 @@ def warmup_slots(n_slots: int) -> int:
     return max(100, n_slots // 10)
 
 
-def _fill_shapes(p, uniforms, out):
-    """Write into ``out`` the gamma shape of each uniform's mixture component."""
-    # every index names a component, so the clip never binds; it spares
-    # np.take the buffered output of its default bounds check
-    np.take(p._shapes_float, fading.component_index(p, uniforms), out=out, mode="clip")
-
-
 def _gain_chunks(p, readers, gens, chunks):
     """Yield ``(first slot, gains)`` per chunk, gains slot-major ``(slots, placements)``.
 
@@ -238,7 +231,7 @@ def _gain_chunks(p, readers, gens, chunks):
             u = uniforms[:len(rows) * n].reshape(len(rows), n)
             for i, row in zip(rows, u):
                 readers[i].random(out=row)
-            _fill_shapes(p, u, u)
+            fading.component_shapes(p, u, out=u)
             for i, shape in zip(rows, u):
                 gens[i].standard_gamma(shape, out=gains[i, :n])
         block = gains[:, :n]
@@ -380,7 +373,7 @@ def _link_successes(cfg, gens, n_total, most):
             # one 64-bit output per uniform double
             gen.bit_generator.advance(n_total - m)
         n = edges[-1]
-        _fill_shapes(p, uniforms[:n], uniforms[:n])
+        fading.component_shapes(p, uniforms[:n], out=uniforms[:n])
         for gen, span in zip(gens[first:last], spans):
             gen.standard_gamma(uniforms[span], out=gains[span])
         g = gains[:n]

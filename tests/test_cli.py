@@ -68,6 +68,21 @@ class TestLoadConfig:
         values = parse_config_text("# comment\n\neta = 0.5  # trailing\n")
         assert values["eta"] == 0.5
 
+    def test_link_error_names_effective_values(self, tmp_path, capsys):
+        # K is unset, so the line names the library's default beside the keys
+        path = tmp_path / "bad.cfg"
+        path.write_text("m = 5\nL = 16\n")
+        assert cli.main(["analyze", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: m must be an integer with m >= mu, "
+            "got m=5, mu=16 (K = 7.0, L = 16, m = 5)\n")
+
+    def test_st_sr_link_falls_back_to_k_and_m(self, tmp_path):
+        path = tmp_path / "link.cfg"
+        path.write_text("K = 3\nm = 12\n")
+        link = load_config(str(path)).fading_st_sr
+        assert (link.rician_k, link.mu, link.m) == (3.0, 1, 12)
+
     def test_antenna_count_feeds_fading(self):
         values = parse_config_text("L = 16\n")
         cfg = build_config(values)
@@ -105,6 +120,13 @@ class TestConfigTables:
         }
         for cfg in (analysis.SystemConfig(), build_config(cli.CONFIG_DEFAULTS)):
             assert json.dumps(cli.config_echo(cfg)) == json.dumps(echo)
+
+    def test_library_states_every_default(self):
+        assert set(cli.CONFIG_DEFAULTS.values()) == {None}
+
+    def test_missing_key_takes_its_default(self):
+        values = {"L": 16, "ideal": False}
+        assert build_config(values) == build_config({**cli.CONFIG_DEFAULTS, **values})
 
     def test_keys_and_links_make_every_field(self):
         made = [*cli._FIELDS.values(), "fading_pb_st", "fading_st_sr"]
