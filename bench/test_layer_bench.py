@@ -20,7 +20,9 @@ Sizes:
 - ``ehcr validate`` through ``cli.main`` at the default configuration;
 - validate's ``fading-normalization`` suite (the pdf mass of each link),
   ``sim-model-agreement`` suite (both simulator modes at
-  500 placements × 500 slots), ``jensen-bounds`` suite (1e6 samples of
+  500 placements × 500 slots), ``sim-conservation`` suite (500 slots of
+  one buffer against the rule, and two runs of 50 placements × 200
+  slots), ``jensen-bounds`` suite (1e6 samples of
   each link, each from its own stream, drawn in step with both capacities
   in chunks of 65 536), ``fading-sampler-ks`` suite (a KS test
   of 1e5 draws of each link) and ``phi-closed-vs-quadrature`` suite (phi1
@@ -157,6 +159,10 @@ def test_suite_fading_normalization(benchmark, ehcr):
 def test_suite_sim_model_agreement(benchmark, ehcr):
     notes = benchmark(ehcr.validate.sim_model_agreement, ehcr.analysis.SystemConfig())
     assert len(notes) == 1 and notes[0].startswith("INFO")
+
+
+def test_suite_sim_conservation(benchmark, ehcr):
+    assert benchmark(ehcr.validate.sim_conservation, ehcr.analysis.SystemConfig()) == []
 
 
 def test_suite_jensen_bounds(benchmark, ehcr):

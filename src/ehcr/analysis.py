@@ -6,7 +6,8 @@ probability, outage and throughput, with ideal or lossy (rho, P_c) hardware.
 returns one array per output column; ``evaluate`` is its one-tau row, a
 dict keyed by those columns, ``effective_range`` and the three paper
 metrics are one-tau views, and the quadrature oracles take only its branch
-limits.
+limits. One slot at beacon distance d is `_threshold` and `_buffer_terms`,
+which `sim` and `validate` read.
 """
 
 from __future__ import annotations
@@ -224,6 +225,31 @@ def _branches(cfg: SystemConfig, taus: np.ndarray, d_star: np.ndarray):
     return np.broadcast_arrays(*inside), np.broadcast_arrays(*outside)
 
 
+def _threshold(cfg: SystemConfig, taus: np.ndarray, d):
+    """``(threshold, held)``: the harvest gain at which one slot transmits at distance ``d``.
+
+    ``held`` is the inside branch, ``d <= d*`` (a tie goes inside), where the threshold is
+    ``x(d) / (1 - tau)``; beyond, it is ``x(d) = tau C / a(d)``. A column of taus against a
+    row of distances gives the (tau, distance) table.
+    """
+    d_star = _d_star(cfg, taus)
+    (inside, *_), (outside, *_) = _branches(cfg, taus, d_star)
+    held = d <= d_star
+    return np.where(held, inside, outside) * d**cfg.alpha_pb_st, held
+
+
+def _buffer_terms(cfg: SystemConfig, taus, d):
+    """``(C, tau C, a(d), (1 - tau) a(d))``: the buffer's energy terms at distance ``d``.
+
+    A transmission spends ``tau C`` of ``C = p_st_eff T``; per unit of gain a silent slot
+    stores ``a(d) = eta T P_b / d**alpha``. Broadcasts as `_threshold`; floats give floats.
+    """
+    t = cfg.t_frame
+    capacity = cfg.p_st_eff * t
+    path_gain = cfg.eta * t * cfg.p_beacon / d**cfg.alpha_pb_st
+    return capacity, taus * capacity, path_gain, (1.0 - taus) * path_gain
+
+
 def _phi_closed_form(cfg: SystemConfig, threshold_coeff, lo, hi) -> np.ndarray:
     # Sum over survival-series terms r = 0..m-1 of the gain law, each integrated in closed
     # form against the annulus density on [lo, hi]; one row per non-empty branch, per r.
@@ -260,27 +286,22 @@ def _phi_closed_form(cfg: SystemConfig, threshold_coeff, lo, hi) -> np.ndarray:
     return out
 
 
-def _point_mass(cfg: SystemConfig, branches, d_star: np.ndarray):
+def _point_mass(cfg: SystemConfig, taus: np.ndarray):
     """phi1 and phi2 where d_min = d_max = d: the closed form's limit as the annulus closes on d.
 
-    The branch that holds d transmits with the gain survival at its threshold
-    at d, and the other never; a tie goes inside, as in the simulator's
-    slot-renewal mode.
+    The branch that holds d transmits with the gain survival at its
+    `_threshold` at d, and the other never.
     """
-    (inside, *_), (outside, *_) = branches
-    held = cfg.d_max <= d_star
-    threshold = np.where(held, inside, outside) * cfg.d_max**cfg.alpha_pb_st
+    threshold, held = _threshold(cfg, taus, cfg.d_max)
     sf = fading.survival(cfg.fading_pb_st, threshold)
     return np.where(held, sf, 0.0), np.where(held, 0.0, sf)
 
 
 def _phi_quadrature(cfg: SystemConfig, branch: int) -> float:
     taus = np.array([cfg.tau])
-    d_star = _d_star(cfg, taus)
-    branches = _branches(cfg, taus, d_star)
     if cfg.d_min == cfg.d_max:  # nothing to integrate: the point mass is the oracle too
-        return float(_point_mass(cfg, branches, d_star)[branch][0])
-    coeff, lo, hi = (float(v[0]) for v in branches[branch])
+        return float(_point_mass(cfg, taus)[branch][0])
+    coeff, lo, hi = (float(v[0]) for v in _branches(cfg, taus, _d_star(cfg, taus))[branch])
     p = cfg.fading_pb_st
     alpha = cfg.alpha_pb_st
     # past the distance whose threshold reaches `fading.survival_end` the
@@ -354,14 +375,13 @@ def sweep_columns(cfg: SystemConfig, tau_grid) -> dict[str, np.ndarray]:
     """
     taus = _checked_taus(cfg, tau_grid)
     d_star = _d_star(cfg, taus)
-    branches = _branches(cfg, taus, d_star)
     # an underflowing threshold coefficient makes a branch 0 ** -x * 0, NaN, and a tiny
     # alpha overflows its terms; the check below names the tau instead of warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if cfg.d_min < cfg.d_max:
-            v1, v2 = (_phi_closed_form(cfg, *branch) for branch in branches)
+            v1, v2 = (_phi_closed_form(cfg, *branch) for branch in _branches(cfg, taus, d_star))
         else:
-            v1, v2 = _point_mass(cfg, branches, d_star)
+            v1, v2 = _point_mass(cfg, taus)
     # both branches, before the clip, which would hide an infinite one
     finite = np.isfinite(v1 + v2)
     if not finite.all():

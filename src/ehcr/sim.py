@@ -4,20 +4,18 @@ The default ``buffer`` mode tracks the stored energy across slots and is the
 ground truth the closed forms are measured against. Its rule is the one
 in-place update ``_step_slot``: a full buffer transmits, spends ``tau·C`` and
 harvests for the rest of the frame; any other buffer harvests for the whole
-frame; the level is capped at the capacity ``C``. A full buffer holds exactly
-``C``, so its level after a transmission depends on that slot's gain alone;
-``_slot_terms`` computes it, and the idle harvest, for a block of slots at
-once. ``_step_slot`` then costs five array operations per slot and no
-branch: a buffer's ceiling is ``C`` if it is silent and its
-post-transmission level if it is full, and ``stored + idle`` is cut at that
-ceiling, which gives the same floats as the rule above. The update works on
-arrays, so one call advances every (tau, placement) buffer of a sweep, and
-the validate suite drives the same update on a one-element buffer.
+frame; the level is capped at the capacity ``C``. ``_slot_terms`` fills the
+two levels it reads for a block of slots at once, so that it costs five
+array operations per slot and no branch. The update works on arrays, so one
+call advances every (tau, placement) buffer of a sweep, and the validate
+suite drives the same update on a one-element buffer.
 
 The ``slot-renewal`` mode reproduces the modeling assumptions behind the
 closed-form transmission probability (each slot judged on the previous
 slot's harvest alone, leftover pinned at the post-transmission level), which
 is useful for isolating the effect of multi-slot energy accumulation.
+Both modes read a slot at a placement's distance from `analysis`: the
+buffer's terms from ``_buffer_terms``, the threshold from ``_threshold``.
 
 ``run_sweep`` estimates a whole tau grid from one draw of the gain streams:
 the streams depend only on the seed and the placement index, so every tau
@@ -122,11 +120,6 @@ class SimEstimate:
 def _distance(cfg: SystemConfig, u: float) -> float:
     """Inverse CDF of the linear annulus density on [d_min, d_max] at ``u``."""
     return math.sqrt(cfg.d_min**2 + u * (cfg.d_max**2 - cfg.d_min**2))
-
-
-def sample_distance(cfg: SystemConfig, gen: np.random.Generator) -> float:
-    """Inverse-CDF draw from the linear annulus density on [d_min, d_max]."""
-    return _distance(cfg, gen.random())
 
 
 def _stratum(i: int, n_placements: int):
@@ -281,16 +274,13 @@ def _buffer_counts(cfg, taus, distances, chunks, warmup, tx):
     """Run the energy buffers; add to ``tx`` the measured slots that transmit.
 
     One `_step_slot` per slot carries every tau's buffer state; the per-slot
-    levels are filled ``_BLOCK`` slots of a chunk at a time. ``tx_gain`` =
-    (1 - tau) * path_gain is the harvest scale of a transmit slot. A harvest,
-    or a level plus a harvest, that overflows to +inf is cut at the ceiling,
-    as any value above it is, so inf is exact here and its overflow is no fault.
+    levels are filled ``_BLOCK`` slots of a chunk at a time, from the
+    `analysis._buffer_terms` of each (tau, placement). A harvest, or a level
+    plus a harvest, that overflows to +inf is cut at the ceiling, as any
+    value above it is, so inf is exact here and its overflow is no fault.
     """
-    t = cfg.t_frame
-    capacity = cfg.p_st_eff * t
-    consumption = taus[:, None] * capacity
-    path_gain = cfg.eta * t * cfg.p_beacon / distances**cfg.alpha_pb_st
-    tx_gain = (1.0 - taus)[:, None] * path_gain
+    capacity, consumption, path_gain, tx_gain = analysis._buffer_terms(
+        cfg, taus[:, None], distances)
     stored = np.full(tx.shape, capacity)
     level = np.empty_like(stored)
     idle = np.empty((_BLOCK, 1, len(distances)))
@@ -318,16 +308,12 @@ def _buffer_counts(cfg, taus, distances, chunks, warmup, tx):
 def _renewal_counts(cfg, taus, distances, chunks, warmup, tx):
     """Pass ``chunks`` on; add to ``tx`` the measured slots where the slot-renewal model transmits.
 
-    The previous slot's harvest alone (plus the fixed post-transmission
-    leftover) decides transmission, against the closed form's branch
-    threshold at the placement's distance. No state links the slots, so
-    every measured slot of a chunk is judged at once, before the chunk is
-    yielded unchanged to whatever else counts on it.
+    The previous slot's harvest alone decides transmission, against the closed
+    form's `analysis._threshold` at the placement's distance. No state links
+    the slots, so every measured slot of a chunk is judged at once, before
+    the chunk is yielded unchanged to whatever else counts on it.
     """
-    d_star = analysis._d_star(cfg, taus)
-    (inside, *_), (outside, *_) = analysis._branches(cfg, taus, d_star)
-    coeff = np.where(distances <= d_star[:, None], inside[:, None], outside[:, None])
-    threshold = coeff * distances**cfg.alpha_pb_st
+    threshold, _ = analysis._threshold(cfg, taus[:, None], distances)
     for lo, gains in chunks:
         measured = gains[max(warmup - lo, 0):]
         for k, row in enumerate(threshold):

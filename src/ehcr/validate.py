@@ -198,24 +198,18 @@ def j_magnitude(cfg):
 def sim_conservation(cfg):
     problems = []
     gen = np.random.default_rng(99)
-    capacity = cfg.p_st_eff * cfg.t_frame
-    consumption = cfg.tau * capacity
-    d = sim.sample_distance(cfg, gen)
-    path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / d**cfg.alpha_pb_st
+    d = sim._distance(cfg, gen.random())
+    capacity, consumption, path_gain, tx_gain = analysis._buffer_terms(cfg, cfg.tau, d)
     stored = np.array([capacity])
     idle, after_tx, level = np.empty(1), np.empty(1), np.empty(1)
     silent = np.empty(1, dtype=bool)
     for _ in range(500):
         gp = fading.sample(cfg.fading_pb_st, gen)
-        was_full = stored[0] >= capacity
-        harvest_scale = (1.0 - cfg.tau) if was_full else 1.0
-        expected = min(
-            capacity,
-            stored[0] - (consumption if was_full else 0.0) + harvest_scale * path_gain * gp,
-        )
-        sim._slot_terms(
-            capacity, consumption, path_gain, (1.0 - cfg.tau) * path_gain, gp, idle, after_tx
-        )
+        if stored[0] >= capacity:  # full: it transmits and harvests for 1 - tau of the frame
+            expected = min(capacity, stored[0] - consumption + (1.0 - cfg.tau) * path_gain * gp)
+        else:
+            expected = min(capacity, stored[0] + path_gain * gp)
+        sim._slot_terms(capacity, consumption, path_gain, tx_gain, gp, idle, after_tx)
         sim._step_slot(stored, capacity, idle, after_tx, silent, level)
         if stored[0] != expected:
             problems.append("per-slot energy bookkeeping mismatch")

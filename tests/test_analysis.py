@@ -11,6 +11,7 @@ from scipy import special
 from ehcr import analysis, fading
 from ehcr.analysis import SystemConfig
 from ehcr.fading import FadingParams
+from test_sim import buffer_terms, renewal_threshold
 
 # mpmath references at the default setting (tau = 0.5, both links K=7, mu=1, m=20)
 CAPACITY_LB_AT_D5 = 11.764635774507584
@@ -296,17 +297,22 @@ class TestPointMass:
         (inside, *_), (outside, *_) = analysis._branches(cfg, taus, point["d_star"])
         power = self.D**cfg.alpha_pb_st
         # d inside the effective range at tau 0.1, beyond it at tau 0.9
+        threshold, held = analysis._threshold(cfg, taus, self.D)
+        assert held.tolist() == [True, False]
+        assert threshold.tolist() == [inside[0] * power, outside[1] * power]
         survival = fading.survival(cfg.fading_pb_st, np.array([inside[0], outside[1]]) * power)
         assert point["phi1"][0] == pytest.approx(survival[0], rel=1e-14)
         assert point["phi2"][1] == pytest.approx(survival[1], rel=1e-14)
         assert point["phi2"][0] == point["phi1"][1] == 0.0
 
     def test_tie_goes_inside(self):
-        # the simulator's slot-renewal mode counts d = d_star inside the range
+        # `_threshold`, which the simulator's slot-renewal mode reads too, counts
+        # d = d_star inside the range
         tau = 0.3
         d = analysis.effective_range(default_config(tau=tau))
         cfg = default_config(d_min=d, d_max=d, tau=tau)
         assert analysis.effective_range(cfg) == d
+        assert analysis._threshold(cfg, np.array([tau]), d)[1][0]
         point = analysis.evaluate(cfg)
         assert point["phi1"] > 0.0 and point["phi2"] == 0.0
 
@@ -316,6 +322,42 @@ class TestPointMass:
             point = analysis.evaluate(cfg)
             assert analysis.phi1_quadrature(cfg) == point["phi1"]
             assert analysis.phi2_quadrature(cfg) == point["phi2"]
+
+
+class TestSlotAtDistance:
+    """`_buffer_terms` and `_threshold` against the tests' own statement of one slot at d."""
+
+    TAUS = [1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999]
+    # either side of the effective range, 54 m at tau = 1e-3 and 0.17 m at tau = 0.999
+    DISTANCES = [0.5, 1.5, 2.5, 4.0, 6.0, 12.0, 60.0]
+
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_buffer_terms_equal_the_reference(self, ideal):
+        cfg = default_config(ideal=ideal)
+        taus = np.array(self.TAUS)
+        for d in self.DISTANCES:
+            # a column of taus, as the simulator passes; a float distance keeps Python's
+            # power, whose last bit numpy's array power need not share
+            capacity, spent, path_gain, tx_gain = analysis._buffer_terms(cfg, taus[:, None], d)
+            assert spent.shape == tx_gain.shape == (len(taus), 1)
+            for k, tau in enumerate(self.TAUS):
+                reference = buffer_terms(cfg.with_tau(tau), d)
+                assert (capacity, spent[k, 0], path_gain, tx_gain[k, 0]) == reference
+                # floats give floats, as validate's sim-conservation suite calls it
+                assert analysis._buffer_terms(cfg, tau, d) == reference
+
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_threshold_is_the_branch_that_holds_d(self, ideal):
+        cfg = default_config(ideal=ideal)
+        taus = np.array(self.TAUS)
+        branches = set()
+        for d in self.DISTANCES:
+            threshold, held = analysis._threshold(cfg, taus, d)
+            assert np.array_equal(held, d <= analysis._d_star(cfg, taus))
+            branches.update(held.tolist())
+            for k, tau in enumerate(self.TAUS):
+                assert threshold[k] == renewal_threshold(cfg.with_tau(tau), d)
+        assert branches == {True, False}
 
 
 class TestJCorrection:

@@ -21,41 +21,23 @@ def default_config(**overrides) -> SystemConfig:
     return dataclasses.replace(SystemConfig(), **overrides)
 
 
-class FixedUniform:
-    """Minimal generator stand-in yielding a prescribed uniform."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 class TestSampleDistance:
+    """`sim._distance`, the inverse CDF of the annulus law that places every distance."""
+
     def test_degenerate_annulus(self):
         cfg = default_config(d_min=5.0, d_max=5.0)
-        gen = np.random.default_rng(0)
-        assert sim.sample_distance(cfg, gen) == 5.0
+        assert sim._distance(cfg, np.random.default_rng(0).random()) == 5.0
 
     def test_inverse_cdf_midpoint(self):
         cfg = default_config(d_min=1.0, d_max=15.0)
-        assert sim.sample_distance(cfg, FixedUniform(0.5)) == pytest.approx(
-            10.630145812734649, rel=1e-12
-        )
+        assert sim._distance(cfg, 0.5) == pytest.approx(10.630145812734649, rel=1e-12)
 
     def test_kolmogorov_smirnov(self):
         cfg = default_config()
         gen = np.random.default_rng(23)
-        draws = np.array([sim.sample_distance(cfg, gen) for _ in range(100_000)])
+        draws = np.array([sim._distance(cfg, gen.random()) for _ in range(100_000)])
         analytic = lambda x: (x**2 - cfg.d_min**2) / (cfg.d_max**2 - cfg.d_min**2)
         assert stats.kstest(draws, analytic).pvalue > 0.01
-
-    def test_within_bounds(self):
-        cfg = default_config()
-        gen = np.random.default_rng(1)
-        for _ in range(1000):
-            d = sim.sample_distance(cfg, gen)
-            assert cfg.d_min <= d <= cfg.d_max
 
 
 def stratum(i, n):
@@ -510,6 +492,7 @@ class TestStrata:
     def test_distances_lie_in_their_strata(self, n):
         cfg = default_config()
         distances, _, _ = sim.placement_streams(cfg, n, 10, seed=3)
+        assert np.all((cfg.d_min <= distances) & (distances <= cfg.d_max))
         u = (distances**2 - cfg.d_min**2) / (cfg.d_max**2 - cfg.d_min**2)
         for i, u_i in enumerate(u):
             start, size = stratum(i, n)
@@ -598,6 +581,29 @@ class TestEnergyBalance:
         path_gain = cfg.eta * cfg.t_frame * cfg.p_beacon / distances**cfg.alpha_pb_st
         spent = taus[:, None] * capacity * tx
         assert np.all(spent <= (capacity + path_gain * harvest) * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("antennas, ideal", [(1, True), (16, False)], ids=["L1", "L16-lossy"])
+    @pytest.mark.parametrize("d", [2.0, 6.0, 12.0])
+    def test_one_distance_within_expectation_bounds(self, antennas, ideal, d):
+        # at d_min = d_max = d, with x = tau C / a(d), P((1 - tau) g >= x) <= p_tr <= 1/(x + tau):
+        # after the first slot the level never falls below (1 - tau) C, so every slot refills
+        # with at least the lower probability, whatever came before; and per slot a buffer
+        # spends tau C p_tr of a harvest a(d) (1 - tau p_tr), as E[g] = 1. At d = 2, tau = 0.1
+        # p_tr sits on the lower bound, hence two half-widths of slack, not one
+        cfg = default_config(d_min=d, d_max=d, ideal=ideal,
+                             fading_pb_st=FadingParams(7.0, antennas, 20))
+        taus = np.array([0.1, 0.5, 0.9])
+        _, consumption, path_gain, _ = analysis._buffer_terms(cfg, taus, d)
+        x = consumption / path_gain
+        # the lower bound's refill threshold is the paper's inside one
+        threshold, held = analysis._threshold(cfg, taus, d)
+        np.testing.assert_allclose(threshold[held], (x / (1.0 - taus))[held], rtol=1e-12)
+        lower = fading.survival(cfg.fading_pb_st, x / (1.0 - taus))
+        upper = 1.0 / (x + taus)
+        estimates = sim.run_sweep(cfg, taus, 200, 2_000, seed=2026)
+        for est, lo, hi in zip(estimates, lower, upper):
+            slack = 2.0 * est.ci99_p_tr
+            assert lo - slack <= est.p_tr_hat <= hi + slack, (est, lo, hi)
 
 
 # seeds whose words numpy splits differently: one word, the largest one word,
